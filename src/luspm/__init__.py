@@ -6,6 +6,7 @@ producing the identical set of patterns whose occurrence-summed utility is
 positive and at most the threshold.
 """
 
+from .chains import ChainStore, get_utility_chain, support
 from .errors import (
     CandidateCapExceeded,
     EmbeddingCapExceeded,
@@ -38,9 +39,7 @@ from .occurrence import (
     build_bit_index,
     compute_utility,
     enumerate_embeddings,
-    get_utility_chain,
     is_subsequence,
-    support,
 )
 from .preprocess import MaxNonConSeqSet, build_max_non_con_seq_set, eups_prune
 from .seqdb import (
@@ -60,4 +59,51 @@ from .seqdb import (
 )
 from .shadow import MiningShadow
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BitIndex",
+    "CandidateCapExceeded",
+    "ChainStore",
+    "Embedding",
+    "EmbeddingCapExceeded",
+    "ExternalUtilityTable",
+    "LuspRecord",
+    "LuspResult",
+    "LuspmError",
+    "MaxNonConSeqSet",
+    "MetricsReport",
+    "MiningConfig",
+    "MiningShadow",
+    "ParseError",
+    "Pattern",
+    "QItem",
+    "QSequence",
+    "QSequenceDatabase",
+    "SUChain",
+    "SweepSpec",
+    "UtilityCounter",
+    "UtilityTableError",
+    "build_bit_index",
+    "build_max_non_con_seq_set",
+    "compute_utility",
+    "database_utility",
+    "dataset_fingerprint",
+    "enumerate_all_subsequences",
+    "enumerate_embeddings",
+    "estimate_utility_computations",
+    "eups_prune",
+    "generate_synthetic",
+    "get_utility_chain",
+    "is_subsequence",
+    "mine_baseline",
+    "mine_extend",
+    "mine_shrink",
+    "parse_spmf",
+    "parse_utility_table",
+    "resolve_min_util",
+    "run_once",
+    "run_sweep",
+    "sample_database",
+    "serialize_spmf",
+    "serialize_utility_table",
+    "support",
+]

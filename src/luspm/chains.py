@@ -14,7 +14,6 @@ Only then is the restricted sum a true lower bound on the pattern's utility.
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 from .occurrence import (
@@ -65,8 +64,8 @@ def rows_total(rows: TaggedRows):
 class ChainStore:
     """Pattern-keyed cache of true sequence-utility chains.
 
-    Thread-safe: the memo behaves as a single serializable map, so results and
-    counter totals are independent of interleaving.
+    ``_build`` is the package's one scan of the database for a pattern's
+    embeddings; every chain, utility and support is read from its rows.
     """
 
     def __init__(
@@ -81,16 +80,14 @@ class ChainStore:
         self.counter = counter
         self.max_embeddings = max_embeddings
         self._memo: dict[Pattern, TaggedRows] = {}
-        self._lock = threading.Lock()
 
     def tagged(self, pattern: Pattern) -> TaggedRows:
         """The pattern's own chain rows, with embedding provenance."""
-        with self._lock:
-            cached = self._memo.get(pattern)
-            if cached is None:
-                cached = self._build(pattern)
-                self._memo[pattern] = cached
-            return cached
+        cached = self._memo.get(pattern)
+        if cached is None:
+            cached = self._build(pattern)
+            self._memo[pattern] = cached
+        return cached
 
     def chain(self, pattern: Pattern) -> SUChain:
         rows = self.tagged(pattern)
@@ -102,6 +99,8 @@ class ChainStore:
         return rows_total(rows), len(rows)
 
     def _build(self, pattern: Pattern) -> TaggedRows:
+        """Rows grouped by sequence order, then embedding order. Counts as one
+        utility computation."""
         rows: list[TaggedRow] = []
         for seq in self.db.sequences:
             if self.index is not None and not self.index.contains_all(seq, pattern):
@@ -118,3 +117,23 @@ class ChainStore:
         if self.counter is not None:
             self.counter.increment()
         return tuple(rows)
+
+
+def get_utility_chain(
+    pattern: Pattern,
+    db: QSequenceDatabase,
+    index: BitIndex | None = None,
+    counter: UtilityCounter | None = None,
+    max_embeddings: int | None = None,
+) -> SUChain:
+    """The pattern's sequence-utility chain over the whole database."""
+    return ChainStore(db, index, counter, max_embeddings).chain(pattern)
+
+
+def support(
+    pattern: Pattern,
+    db: QSequenceDatabase,
+    index: BitIndex | None = None,
+) -> int:
+    """Total number of embeddings of the pattern across the database."""
+    return len(ChainStore(db, index).tagged(pattern))

@@ -59,7 +59,7 @@ def _cmd_mine(args) -> int:
         sigma=Fraction(args.sigma) if args.sigma is not None else None,
         max_len=args.max_len,
     )
-    result, report = run_once(db, cfg, args.algo, threads=args.threads)
+    result, report = run_once(db, cfg, args.algo)
     if result is None:
         print(f"status: {report.status}", file=sys.stderr)
         return 1
@@ -93,7 +93,7 @@ def _cmd_sweep(args) -> int:
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise SystemExit(f"unknown algorithm {algo!r}")
-    csv_text = run_sweep(spec, db, algorithms, seed=args.seed, threads=args.threads)
+    csv_text = run_sweep(spec, db, algorithms, seed=args.seed)
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -131,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--max-len", type=int)
     mine.add_argument("--out")
     mine.add_argument("--metrics")
-    mine.add_argument("--seed", type=int, default=0)
-    mine.add_argument("--threads", type=int, default=1)
     mine.set_defaults(func=_cmd_mine)
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep from a spec file")
@@ -142,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--algos", default="base,shrink,extend")
     sweep.add_argument("--out")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--threads", type=int, default=1)
     sweep.set_defaults(func=_cmd_sweep)
 
     gen = sub.add_parser("gen", help="generate a synthetic database")

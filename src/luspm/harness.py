@@ -1,8 +1,9 @@
 """Instrumented runner: single runs, parameter sweeps and database sampling.
 
-Peak memory is the delta of Python's tracked allocations (tracemalloc) from
-run start, not OS RSS, so numbers are reproducible across machines. In
-single-threaded mode everything except durations and memory is deterministic.
+Runtime comes from a call with tracemalloc off. Peak memory comes from a
+second call of the same miner under tracemalloc: the delta of Python's tracked
+allocations from that call's start, not OS RSS, so numbers are reproducible
+across machines. Everything except durations and memory is deterministic.
 """
 
 from __future__ import annotations
@@ -102,43 +103,57 @@ def sample_database(db: QSequenceDatabase, n: int, seed: int) -> QSequenceDataba
     return QSequenceDatabase(sequences, db.utilities)
 
 
+def _mine(db, cfg, algorithm, counter):
+    if algorithm == "base":
+        return mine_baseline(db, cfg, counter)
+    miner = mine_shrink if algorithm == "shrink" else mine_extend
+    return miner(db, cfg, counter)
+
+
+def _peak_bytes(db, cfg, algorithm) -> int:
+    """Peak traced allocation of one more call, above its starting level.
+
+    Tracing a caller already started is left running.
+    """
+    started_tracing = not tracemalloc.is_tracing()
+    if started_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base_current = tracemalloc.get_traced_memory()[0]
+        _mine(db, cfg, algorithm, None)
+        return max(0, tracemalloc.get_traced_memory()[1] - base_current)
+    finally:
+        if started_tracing:
+            tracemalloc.stop()
+
+
 def run_once(
     db: QSequenceDatabase,
     cfg: MiningConfig,
     algorithm: str,
-    threads: int = 1,
 ) -> tuple[LuspResult | None, MetricsReport]:
     """Run one miner and capture metrics for that run only.
 
-    A baseline candidate-cap abort is reported as status ``cap_exceeded``
-    rather than raised.
+    The result, runtime and utility computations come from one call; peak
+    memory from a second, traced call. A baseline candidate-cap abort is
+    reported as status ``cap_exceeded`` rather than raised, and skips the
+    second call.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     counter = UtilityCounter()
     fingerprint = dataset_fingerprint(db)
 
-    started_tracing = not tracemalloc.is_tracing()
-    if started_tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    base_current = tracemalloc.get_traced_memory()[0]
     t0 = time.perf_counter()
     status = "ok"
     result: LuspResult | None = None
     try:
-        if algorithm == "base":
-            result = mine_baseline(db, cfg, counter)
-        elif algorithm == "shrink":
-            result = mine_shrink(db, cfg, counter, threads=threads)
-        else:
-            result = mine_extend(db, cfg, counter, threads=threads)
+        result = _mine(db, cfg, algorithm, counter)
     except CandidateCapExceeded:
         status = "cap_exceeded"
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    peak = max(0, tracemalloc.get_traced_memory()[1] - base_current)
-    if started_tracing:
-        tracemalloc.stop()
+    peak = 0 if result is None else _peak_bytes(db, cfg, algorithm)
 
     if result is not None:
         min_util = str(result.min_util)
@@ -167,7 +182,6 @@ def run_sweep(
     db: QSequenceDatabase,
     algorithms=ALGORITHMS,
     seed: int = 0,
-    threads: int = 1,
 ) -> str:
     """Run the whole grid and return the metrics CSV (one row per algorithm,
     parameter point and repetition). Per-cell failures land in the row's
@@ -182,7 +196,7 @@ def run_sweep(
             for rep in range(spec.repetitions):
                 for algo in algorithms:
                     try:
-                        _, report = run_once(sub, cfg, algo, threads=threads)
+                        _, report = run_once(sub, cfg, algo)
                     except Exception as exc:  # keep sweeping, record the cell
                         report = MetricsReport(
                             algo,

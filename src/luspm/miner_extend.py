@@ -19,8 +19,6 @@ independent of the order of the roots.
 from __future__ import annotations
 
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from .chains import ChainStore, TaggedRows, column_bound, restrict_rows
 from .miner_base import LuspRecord, LuspResult
@@ -39,32 +37,21 @@ class _ExtendMiner:
         cfg: MiningConfig,
         counter: UtilityCounter | None,
         shadow: MiningShadow | None,
-        threads: int,
     ):
-        self.db = db
         self.min_util = resolve_min_util(cfg, db)
         self.max_len = cfg.max_len
         self.store = ChainStore(db, build_bit_index(db), counter)
         self.shadow = shadow
-        self.threads = max(1, threads)
         # Prefixes some root admitted, in first-admission order, and prefixes
         # some root bounded out; both are filled by the search, read after it.
         self._candidates: dict[Pattern, None] = {}
         self._bounded: set[Pattern] = set()
-        self._lock = threading.Lock()
 
     def run(self) -> LuspResult:
-        roots = build_max_non_con_seq_set(
-            self.db, self.store.index, self.min_util, chain_getter=self.store.chain
-        ).roots
-        limit = max(sys.getrecursionlimit(), RECURSION_HEADROOM)
-        sys.setrecursionlimit(limit)
-        if self.threads == 1:
-            for root in roots:
-                self._mine_root(root)
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                list(pool.map(self._mine_root, roots))
+        roots = build_max_non_con_seq_set(self.store, self.min_util).roots
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_HEADROOM))
+        for root in roots:
+            self._extension(root, self.store.tagged(root), 0)
         records = []
         for q in self._candidates:
             if q in self._bounded:
@@ -79,9 +66,6 @@ class _ExtendMiner:
     def _len_ok(self, pattern: Pattern) -> bool:
         return self.max_len is None or len(pattern) <= self.max_len
 
-    def _mine_root(self, root: Pattern) -> None:
-        self._extension(root, self.store.tagged(root), 0)
-
     def _extension(self, s: Pattern, rows: TaggedRows, q_len: int) -> None:
         p = q_len
         if p >= len(s):
@@ -95,16 +79,14 @@ class _ExtendMiner:
         # Append it to the accumulated prefix.
         lbs = column_bound(rows, range(p + 1))
         if lbs > self.min_util:
-            with self._lock:
-                self._bounded.add(s[: p + 1])
+            self._bounded.add(s[: p + 1])
             if self.shadow is not None:
                 self.shadow.ebisps_cut(s[: p + 1], s[p + 1 :])
             return
         self._extension(s, rows, p + 1)
         q = s[: p + 1]
         if self._len_ok(q):
-            with self._lock:
-                self._candidates[q] = None
+            self._candidates[q] = None
 
 
 def mine_extend(
@@ -115,4 +97,7 @@ def mine_extend(
     threads: int = 1,
 ) -> LuspResult:
     """Mine the complete LUSP set by extension; output equals the baseline's."""
-    return _ExtendMiner(db, cfg, counter, shadow, threads).run()
+    # ``threads`` is kept only for perfbench/bench.py's ``threads=1`` call.
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
+    return _ExtendMiner(db, cfg, counter, shadow).run()

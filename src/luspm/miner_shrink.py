@@ -11,8 +11,6 @@ lower bound exceeds the threshold are removed wholesale (``_prune_item``).
 from __future__ import annotations
 
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from .chains import ChainStore, TaggedRows, column_bound, restrict_rows, rows_total
 from .miner_base import LuspRecord, LuspResult
@@ -31,28 +29,18 @@ class _ShrinkMiner:
         cfg: MiningConfig,
         counter: UtilityCounter | None,
         shadow: MiningShadow | None,
-        threads: int,
     ):
-        self.db = db
         self.min_util = resolve_min_util(cfg, db)
         self.max_len = cfg.max_len
         self.store = ChainStore(db, build_bit_index(db), counter)
         self.shadow = shadow
-        self.threads = max(1, threads)
         self._sink: dict[Pattern, tuple] = {}
-        self._sink_lock = threading.Lock()
 
     def run(self) -> LuspResult:
-        roots = build_max_non_con_seq_set(
-            self.db, self.store.index, self.min_util, chain_getter=self.store.chain
-        ).roots
+        roots = build_max_non_con_seq_set(self.store, self.min_util).roots
         sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_HEADROOM))
-        if self.threads == 1:
-            for root in roots:
-                self._mine_root(root)
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                list(pool.map(self._mine_root, roots))
+        for root in roots:
+            self._mine_root(root)
         records = [LuspRecord(p, u, s) for p, (u, s) in self._sink.items()]
         return LuspResult.from_records(records, self.min_util, self.max_len)
 
@@ -60,8 +48,7 @@ class _ShrinkMiner:
         return self.max_len is None or len(pattern) <= self.max_len
 
     def _record(self, pattern: Pattern, utility, support: int) -> None:
-        with self._sink_lock:
-            self._sink.setdefault(pattern, (utility, support))
+        self._sink.setdefault(pattern, (utility, support))
 
     def _mine_root(self, root: Pattern) -> None:
         utility, support = self.store.evaluate(root)
@@ -160,4 +147,7 @@ def mine_shrink(
     threads: int = 1,
 ) -> LuspResult:
     """Mine the complete LUSP set by shrinkage; output equals the baseline's."""
-    return _ShrinkMiner(db, cfg, counter, shadow, threads).run()
+    # ``threads`` is kept only for perfbench/bench.py's ``threads=1`` call.
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
+    return _ShrinkMiner(db, cfg, counter, shadow).run()

@@ -3,12 +3,12 @@
 Every miner funnels through this module: a pattern's utility is the sum, over
 all of its embeddings in the database, of quantity times external utility at
 each matched position. The per-pattern rows of those position utilities form
-the sequence-utility chain.
+the sequence-utility chain, which ``chains.ChainStore`` builds.
 """
 
 from __future__ import annotations
 
-import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,56 +50,46 @@ class SUChain:
 
 
 class UtilityCounter:
-    """Counts full-chain constructions during a mining run.
-
-    Increments are lock-protected so concurrent miners cannot lose updates.
-    """
+    """Counts full-chain constructions during a mining run."""
 
     def __init__(self):
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def count(self) -> int:
         return self._count
 
     def increment(self, n: int = 1) -> None:
-        with self._lock:
-            self._count += n
+        self._count += n
 
 
 @dataclass(frozen=True)
 class BitIndex:
-    """Per-sequence presence masks and position lists for each item.
+    """Per-sequence position lists for each item.
 
-    Bit j of ``masks[sid][item]`` is set iff position j of that sequence holds
-    the item. Purely an accelerator: every result must be identical with
-    ``index=None``.
+    ``positions[sid][item]`` holds, in increasing order, the positions of that
+    sequence that hold the item. Purely an accelerator: every result must be
+    identical with ``index=None``.
     """
 
-    masks: dict[int, dict[int, int]] = field(default_factory=dict)
     positions: dict[int, dict[int, tuple[int, ...]]] = field(default_factory=dict)
 
     def item_positions(self, seq: QSequence, item: int) -> tuple[int, ...]:
         return self.positions[seq.sid].get(item, ())
 
     def contains_all(self, seq: QSequence, pattern: Pattern) -> bool:
-        masks = self.masks[seq.sid]
-        return all(item in masks for item in pattern)
+        present = self.positions[seq.sid]
+        return all(item in present for item in pattern)
 
 
 def build_bit_index(db: QSequenceDatabase) -> BitIndex:
-    masks: dict[int, dict[int, int]] = {}
     positions: dict[int, dict[int, tuple[int, ...]]] = {}
     for seq in db.sequences:
-        m: dict[int, int] = {}
         p: dict[int, list[int]] = {}
         for j, e in enumerate(seq.elements):
-            m[e.item] = m.get(e.item, 0) | (1 << j)
             p.setdefault(e.item, []).append(j)
-        masks[seq.sid] = m
         positions[seq.sid] = {item: tuple(v) for item, v in p.items()}
-    return BitIndex(masks, positions)
+    return BitIndex(positions)
 
 
 def is_subsequence(shorter: Pattern, longer: Pattern) -> bool:
@@ -121,60 +111,33 @@ def enumerate_embeddings(
     max_embeddings: int | None = None,
 ) -> list[Embedding]:
     """All strictly increasing position assignments matching the pattern, in
-    lexicographic position order."""
-    if not pattern:
-        raise ValueError("pattern must be non-empty")
-    pos_lists = [_positions_of(seq, item, index) for item in pattern]
-    if any(not pl for pl in pos_lists):
-        return []
-    out: list[Embedding] = []
-    n = len(pattern)
-    chosen = [0] * n
+    lexicographic position order.
 
-    def descend(depth: int, lo: int) -> None:
-        for pos in pos_lists[depth]:
-            if pos < lo:
-                continue
-            chosen[depth] = pos
-            if depth + 1 == n:
-                if max_embeddings is not None and len(out) >= max_embeddings:
-                    raise EmbeddingCapExceeded(
-                        f"pattern {pattern} exceeds {max_embeddings} embeddings in sid {seq.sid}"
-                    )
-                out.append(Embedding(seq.sid, tuple(chosen)))
-            else:
-                descend(depth + 1, pos + 1)
-
-    descend(0, 0)
-    return out
-
-
-def get_utility_chain(
-    pattern: Pattern,
-    db: QSequenceDatabase,
-    index: BitIndex | None = None,
-    counter: UtilityCounter | None = None,
-    max_embeddings: int | None = None,
-) -> SUChain:
-    """Build the pattern's sequence-utility chain over the whole database.
-
-    Rows are grouped by sequence order, then embedding order. Counts as one
-    utility computation.
+    Built one pattern position at a time, without recursion, so the pattern
+    length is not limited by the interpreter's recursion limit.
     """
     if not pattern:
         raise ValueError("pattern must be non-empty")
-    rows: list[tuple] = []
-    for seq in db.sequences:
-        if index is not None and not index.contains_all(seq, pattern):
-            continue
-        if not is_subsequence(pattern, seq.items):
-            continue
-        utils = db.sequence_utilities(seq)
-        for emb in enumerate_embeddings(pattern, seq, index, max_embeddings):
-            rows.append(tuple(utils[j] for j in emb.positions))
-    if counter is not None:
-        counter.increment()
-    return SUChain(len(pattern), tuple(rows))
+    pos_lists = [_positions_of(seq, item, index) for item in pattern]
+    # Keep only positions that the rest of the pattern can still follow, so
+    # every partial embedding below completes and no level outnumbers the
+    # result: a cap breach shows at the first level that exceeds the cap.
+    limit = len(seq)
+    for depth in range(len(pattern) - 1, -1, -1):
+        pl = pos_lists[depth][: bisect_left(pos_lists[depth], limit)]
+        if not pl:
+            return []
+        pos_lists[depth] = pl
+        limit = pl[-1]
+    level = [()]
+    for pl in pos_lists:
+        # Position lists are sorted: an extension starts past the last match.
+        level = [h + (pos,) for h in level for pos in pl[bisect_right(pl, h[-1]) if h else 0 :]]
+        if max_embeddings is not None and len(level) > max_embeddings:
+            raise EmbeddingCapExceeded(
+                f"pattern {pattern} exceeds {max_embeddings} embeddings in sid {seq.sid}"
+            )
+    return [Embedding(seq.sid, positions) for positions in level]
 
 
 def compute_utility(chain: SUChain, prefix_len: int | None = None):
@@ -186,21 +149,3 @@ def compute_utility(chain: SUChain, prefix_len: int | None = None):
     if prefix_len > chain.length:
         raise ValueError("prefix_len exceeds chain width")
     return sum(sum(row[:prefix_len]) for row in chain.rows)
-
-
-def support(
-    pattern: Pattern,
-    db: QSequenceDatabase,
-    index: BitIndex | None = None,
-) -> int:
-    """Total number of embeddings of the pattern across the database."""
-    if not pattern:
-        raise ValueError("pattern must be non-empty")
-    total = 0
-    for seq in db.sequences:
-        if index is not None and not index.contains_all(seq, pattern):
-            continue
-        if not is_subsequence(pattern, seq.items):
-            continue
-        total += len(enumerate_embeddings(pattern, seq, index))
-    return total

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .occurrence import (
-    BitIndex,
-    SUChain,
-    UtilityCounter,
-    get_utility_chain,
-    is_subsequence,
-)
-from .seqdb import Pattern, QSequenceDatabase
+from .chains import ChainStore
+from .occurrence import SUChain, is_subsequence
+from .seqdb import Pattern
 
 
 @dataclass(frozen=True)
@@ -45,28 +40,17 @@ def eups_prune(pattern: Pattern, chain: SUChain, min_util) -> tuple[Pattern, SUC
     return pruned, SUChain(len(keep), rows)
 
 
-def build_max_non_con_seq_set(
-    db: QSequenceDatabase,
-    index: BitIndex | None,
-    min_util,
-    counter: UtilityCounter | None = None,
-    chain_getter=None,
-) -> MaxNonConSeqSet:
+def build_max_non_con_seq_set(store: ChainStore, min_util) -> MaxNonConSeqSet:
     """Prune each sequence's pattern, drop empties and duplicates, then keep
     only patterns that are not subsequences of another retained pattern.
 
-    ``chain_getter`` lets callers route chain construction through a shared
-    memo so the counter sees each distinct pattern once.
+    Chains come from ``store``, so its counter sees each distinct pattern once.
     """
     candidates: list[Pattern] = []
     seen: set[Pattern] = set()
-    for seq in db.sequences:
+    for seq in store.db.sequences:
         pattern = seq.items
-        if chain_getter is not None:
-            chain = chain_getter(pattern)
-        else:
-            chain = get_utility_chain(pattern, db, index, counter)
-        pruned, _ = eups_prune(pattern, chain, min_util)
+        pruned, _ = eups_prune(pattern, store.chain(pattern), min_util)
         if pruned and pruned not in seen:
             seen.add(pruned)
             candidates.append(pruned)

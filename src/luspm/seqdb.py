@@ -192,7 +192,8 @@ def parse_utility_table(text: str | bytes) -> ExternalUtilityTable:
             raise ParseError(line_no, f"expected 'item value', got {line.strip()!r}")
         try:
             item = int(tokens[0])
-            value = _normalize(Fraction(tokens[1]))
+            # int() is exact for whole numbers and far cheaper than Fraction's parse.
+            value = int(tokens[1]) if tokens[1].isdecimal() else _normalize(Fraction(tokens[1]))
         except ValueError:
             raise ParseError(line_no, f"unparseable entry {line.strip()!r}") from None
         if value <= 0:

@@ -97,7 +97,7 @@ def test_c1_worked_example_fixtures(ref_db, ones_db):
     assert pruned_chain.rows == ((1, 1), (1, 2))
 
     # [DERIVED] at a huge threshold the root set is the patterns of sids 1-5.
-    roots = build_max_non_con_seq_set(ref_db, index, 10_000).roots
+    roots = build_max_non_con_seq_set(ChainStore(ref_db, index), 10_000).roots
     assert roots == tuple(s.items for s in ref_db.sequences[:5])
 
     assert time.perf_counter() - started < 1.0

@@ -7,7 +7,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luspm import UtilityCounter, build_bit_index, compute_utility, get_utility_chain
+from luspm import (
+    MiningConfig,
+    UtilityCounter,
+    build_bit_index,
+    compute_utility,
+    mine_baseline,
+)
 from luspm.chains import ChainStore, column_bound, restrict_rows, rows_total
 
 from conftest import random_database
@@ -92,13 +98,17 @@ class TestChainStore:
         store.tagged((1,))
         assert store.counter.count == 2
 
+    # The baseline aggregates every pattern's utility and support from
+    # position subsets, independently of any chain.
+
     def test_evaluate_matches_direct_chain(self, ref_db):
         store = _store(ref_db)
-        utility, sup = store.evaluate((1, 2))
-        chain = get_utility_chain((1, 2), ref_db)
-        assert utility == compute_utility(chain)
-        assert sup == chain.support
+        for r in mine_baseline(ref_db, MiningConfig(min_util=10**9)).records:
+            assert store.evaluate(r.pattern) == (r.utility, r.support)
 
     def test_chain_view_matches_direct(self, ref_db):
         store = _store(ref_db)
-        assert store.chain((1, 2)).rows == get_utility_chain((1, 2), ref_db).rows
+        for r in mine_baseline(ref_db, MiningConfig(min_util=10**9)).records:
+            chain = store.chain(r.pattern)
+            assert chain.support == r.support
+            assert compute_utility(chain) == r.utility

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from luspm import (
     dataset_fingerprint,
     generate_synthetic,
     mine_baseline,
+    mine_shrink,
     parse_spmf,
     run_once,
     run_sweep,
@@ -45,6 +47,22 @@ class TestRunOnce:
         sets = [run_once(small_db, cfg, a)[0].as_set() for a in
                 ("base", "shrink", "extend")]
         assert sets[0] == sets[1] == sets[2]
+
+    def test_timed_call_is_untraced(self, small_db, monkeypatch):
+        # The first call gives the result, runtime and counter; only the
+        # second, which gives the peak, runs under tracemalloc.
+        tracing = []
+
+        def spy(*args, **kwargs):
+            tracing.append(tracemalloc.is_tracing())
+            return mine_shrink(*args, **kwargs)
+
+        monkeypatch.setattr("luspm.harness.mine_shrink", spy)
+        result, report = run_once(small_db, MiningConfig(min_util=12), "shrink")
+        assert tracing == [False, True]
+        assert not tracemalloc.is_tracing()
+        assert result.as_set() == mine_shrink(small_db, MiningConfig(min_util=12)).as_set()
+        assert report.peak_bytes > 0
 
     def test_unknown_algorithm_rejected(self, small_db):
         with pytest.raises(ValueError):
@@ -149,6 +167,23 @@ class TestCli:
         ])
         assert code == 0
         assert len(parse_metrics_csv(out.read_text())) == 2 * 3
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("mine", "--threads"), ("sweep", "--threads"), ("mine", "--seed")],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, small_db, capsys, command, flag):
+        db_file, _ = self._write_db(tmp_path, small_db)
+        if command == "mine":
+            argv = ["mine", "--algo", "base", "--db", str(db_file), "--min-util", "6"]
+        else:
+            spec_file = tmp_path / "spec.json"
+            spec_file.write_text(json.dumps({"min_utils": [5]}))
+            argv = ["sweep", "--spec", str(spec_file), "--db", str(db_file)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_gen_round_trips(self, tmp_path):
         out = tmp_path / "gen.txt"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,12 +64,13 @@ class TestEquivalence:
         cfg = MiningConfig(min_util=min_util, max_len=max_len)
         assert mine_extend(db, cfg).as_set() == mine_baseline(db, cfg).as_set()
 
-    def test_threads_produce_identical_results(self, ref_db):
+    def test_only_one_thread_is_accepted(self, ref_db):
         cfg = MiningConfig(min_util=30)
-        assert (
-            mine_extend(ref_db, cfg, threads=4).as_set()
-            == mine_extend(ref_db, cfg, threads=1).as_set()
-        )
+        expected = mine_baseline(ref_db, cfg).as_set()
+        for miner in (mine_shrink, mine_extend):
+            with pytest.raises(ValueError):
+                miner(ref_db, cfg, threads=2)
+            assert miner(ref_db, cfg, threads=1).as_set() == expected
 
 
 class TestCounter:

@@ -64,12 +64,6 @@ class TestEquivalence:
         cfg = MiningConfig(min_util=min_util, max_len=max_len)
         assert mine_shrink(db, cfg).as_set() == mine_baseline(db, cfg).as_set()
 
-    def test_threads_produce_identical_results(self, ref_db):
-        cfg = MiningConfig(min_util=30)
-        single = mine_shrink(ref_db, cfg, threads=1)
-        multi = mine_shrink(ref_db, cfg, threads=4)
-        assert single.as_set() == multi.as_set()
-
 
 class TestCounter:
     @given(st.integers(min_value=0, max_value=10_000))

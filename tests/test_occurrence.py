@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import luspm
 from luspm import (
     EmbeddingCapExceeded,
     ExternalUtilityTable,
@@ -77,6 +82,47 @@ class TestEnumerateEmbeddings:
     def test_rejects_empty_pattern(self, ref_db):
         with pytest.raises(ValueError):
             enumerate_embeddings((), ref_db.sequences[0])
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=9),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        st.sampled_from([None, 0, 1, 4]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bruteforce_in_order(self, items, pattern, cap):
+        seq = QSequence(1, tuple(QItem(i, 1) for i in items))
+        expected = [
+            idx
+            for idx in combinations(range(len(items)), len(pattern))
+            if tuple(items[i] for i in idx) == tuple(pattern)
+        ]
+        if cap is not None and len(expected) > cap:
+            with pytest.raises(EmbeddingCapExceeded):
+                enumerate_embeddings(tuple(pattern), seq, max_embeddings=cap)
+        else:
+            embs = enumerate_embeddings(tuple(pattern), seq, max_embeddings=cap)
+            assert [e.positions for e in embs] == expected
+
+    def test_long_pattern_in_fresh_interpreter(self):
+        # Root construction builds the chain of a whole 1500-item sequence
+        # before any miner code has touched the recursion limit, so a fresh
+        # interpreter must get through it at the default limit.
+        code = (
+            "from luspm import *\n"
+            "seq = QSequence(1, tuple(QItem(i, 1) for i in range(1, 1501)))\n"
+            "db = QSequenceDatabase((seq,), ExternalUtilityTable.uniform(range(1, 1501)))\n"
+            "cfg = MiningConfig(min_util=0)\n"
+            "print(len(mine_shrink(db, cfg)), len(mine_extend(db, cfg)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(luspm.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
 
 class TestSupport:

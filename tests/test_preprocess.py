@@ -16,6 +16,7 @@ from luspm import (
     get_utility_chain,
     is_subsequence,
 )
+from luspm.chains import ChainStore
 
 from conftest import A, B, C, random_database
 
@@ -64,14 +65,14 @@ class TestMaxNonConSeqSet:
         # subsequence of another (sid 1's <a,b,c,a,b,d,a>), so the roots are
         # the patterns of sids 1-5.
         index = build_bit_index(ref_db)
-        got = build_max_non_con_seq_set(ref_db, index, 10_000).roots
+        got = build_max_non_con_seq_set(ChainStore(ref_db, index), 10_000).roots
         expected = tuple(s.items for s in ref_db.sequences[:5])
         assert got == expected
 
     def test_duplicates_collapse(self, ref_db):
         index = build_bit_index(ref_db)
         counter = UtilityCounter()
-        build_max_non_con_seq_set(ref_db, index, 10_000, counter)
+        build_max_non_con_seq_set(ChainStore(ref_db, index, counter), 10_000)
         assert counter.count == len(ref_db)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -80,7 +81,7 @@ class TestMaxNonConSeqSet:
         db = random_database(seed)
         index = build_bit_index(db)
         min_util = 8
-        roots = build_max_non_con_seq_set(db, index, min_util).roots
+        roots = build_max_non_con_seq_set(ChainStore(db, index), min_util).roots
         # Every pruned sequence pattern embeds in some root, and roots form an
         # antichain (validated by the dataclass invariant on construction).
         for seq in db.sequences:
