@@ -2,7 +2,8 @@
 
 Utility is a global property of a pattern, so identical patterns reached from
 different roots or position subsets are materialized once per run; the
-utility-computation counter counts distinct materializations only.
+utility-computation counter counts distinct materializations only. A
+pattern's (utility, support) pair is summed from its rows once, too.
 
 Inherited chains (a super-pattern's chain restricted to a subset of its
 columns) carry each row's originating sequence id and matched positions.
@@ -80,6 +81,7 @@ class ChainStore:
         self.counter = counter
         self.max_embeddings = max_embeddings
         self._memo: dict[Pattern, TaggedRows] = {}
+        self._totals: dict[Pattern, tuple] = {}
 
     def tagged(self, pattern: Pattern) -> TaggedRows:
         """The pattern's own chain rows, with embedding provenance."""
@@ -95,8 +97,11 @@ class ChainStore:
 
     def evaluate(self, pattern: Pattern):
         """(true utility, support) of a pattern."""
-        rows = self.tagged(pattern)
-        return rows_total(rows), len(rows)
+        totals = self._totals.get(pattern)
+        if totals is None:
+            rows = self.tagged(pattern)
+            totals = self._totals[pattern] = (rows_total(rows), len(rows))
+        return totals
 
     def _build(self, pattern: Pattern) -> TaggedRows:
         """Rows grouped by sequence order, then embedding order. Counts as one

@@ -49,9 +49,13 @@ class _ExtendMiner:
 
     def run(self) -> LuspResult:
         roots = build_max_non_con_seq_set(self.store, self.min_util).roots
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_HEADROOM))
-        for root in roots:
-            self._extension(root, self.store.tagged(root), 0)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, RECURSION_HEADROOM))
+        try:
+            for root in roots:
+                self._extension(root, self.store.tagged(root), 0)
+        finally:
+            sys.setrecursionlimit(limit)
         records = []
         for q in self._candidates:
             if q in self._bounded:

@@ -6,6 +6,12 @@ below one whose utility exceeds it, the ancestor's chain is carried down and
 children are first screened by its restricted sum (the lower bound LBS) so
 most true-utility evaluations are skipped, and positions whose frozen-prefix
 lower bound exceeds the threshold are removed wholesale (``_prune_item``).
+
+An exact expansion ``_shrinkage(s, p)`` depends only on the pattern, the
+position and the threshold, and its effects (first-wins records, memoized
+chains) are idempotent, so each (pattern, position) node is expanded once per
+run. Without that, n copies of one item reach the same n patterns along all
+2^n position subsets.
 """
 
 from __future__ import annotations
@@ -35,12 +41,17 @@ class _ShrinkMiner:
         self.store = ChainStore(db, build_bit_index(db), counter)
         self.shadow = shadow
         self._sink: dict[Pattern, tuple] = {}
+        self._expanded: set[tuple[Pattern, int]] = set()
 
     def run(self) -> LuspResult:
         roots = build_max_non_con_seq_set(self.store, self.min_util).roots
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_HEADROOM))
-        for root in roots:
-            self._mine_root(root)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, RECURSION_HEADROOM))
+        try:
+            for root in roots:
+                self._mine_root(root)
+        finally:
+            sys.setrecursionlimit(limit)
         records = [LuspRecord(p, u, s) for p, (u, s) in self._sink.items()]
         return LuspResult.from_records(records, self.min_util, self.max_len)
 
@@ -53,12 +64,18 @@ class _ShrinkMiner:
     def _mine_root(self, root: Pattern) -> None:
         utility, support = self.store.evaluate(root)
         if utility <= self.min_util:
+            # ``_shrinkage(root, 0)`` reaches every removal product of the
+            # root, so a lower-bound-screened pass from it would repeat work.
             self._shrinkage(root, 0)
             if self._len_ok(root):
                 self._record(root, utility, support)
-        self._shrinkage_depth(root, self.store.tagged(root), 0)
+        else:
+            self._shrinkage_depth(root, self.store.tagged(root), 0)
 
     def _shrinkage(self, s: Pattern, p: int) -> None:
+        if (s, p) in self._expanded:
+            return
+        self._expanded.add((s, p))
         if p + 1 < len(s):
             self._shrinkage(s, p + 1)
         if p < len(s):

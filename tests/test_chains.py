@@ -14,6 +14,7 @@ from luspm import (
     compute_utility,
     mine_baseline,
 )
+from luspm import chains
 from luspm.chains import ChainStore, column_bound, restrict_rows, rows_total
 
 from conftest import random_database
@@ -101,10 +102,22 @@ class TestChainStore:
     # The baseline aggregates every pattern's utility and support from
     # position subsets, independently of any chain.
 
-    def test_evaluate_matches_direct_chain(self, ref_db):
+    def test_evaluate_matches_direct_chain(self, ref_db, monkeypatch):
         store = _store(ref_db)
-        for r in mine_baseline(ref_db, MiningConfig(min_util=10**9)).records:
+        records = mine_baseline(ref_db, MiningConfig(min_util=10**9)).records
+        for r in records:
             assert store.evaluate(r.pattern) == (r.utility, r.support)
+        # A second call reads the memoized pair: it neither builds a chain
+        # nor sums rows again.
+        built = store.counter.count
+        with monkeypatch.context() as m:
+            m.setattr(chains, "rows_total", None)
+            for r in records:
+                assert store.evaluate(r.pattern) == (r.utility, r.support)
+        assert store.counter.count == built
+        for r in records:
+            rows = store.tagged(r.pattern)
+            assert (r.utility, r.support) == (rows_total(rows), len(rows))
 
     def test_chain_view_matches_direct(self, ref_db):
         store = _store(ref_db)

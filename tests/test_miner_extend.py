@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -71,6 +72,17 @@ class TestEquivalence:
             with pytest.raises(ValueError):
                 miner(ref_db, cfg, threads=2)
             assert miner(ref_db, cfg, threads=1).as_set() == expected
+
+    def test_recursion_limit_is_restored(self, ref_db):
+        cfg = MiningConfig(min_util=30)
+        saved = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(4321)
+            for miner in (mine_shrink, mine_extend):
+                miner(ref_db, cfg)
+                assert sys.getrecursionlimit() == 4321
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestCounter:

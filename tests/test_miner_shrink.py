@@ -9,13 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luspm import (
+    ChainStore,
+    ExternalUtilityTable,
     MiningConfig,
     MiningShadow,
+    QItem,
+    QSequence,
+    QSequenceDatabase,
     UtilityCounter,
     build_bit_index,
     compute_utility,
     get_utility_chain,
     mine_baseline,
+    mine_extend,
     mine_shrink,
 )
 
@@ -36,6 +42,40 @@ class RecordingShadow(MiningShadow):
 
 def _utility(pattern, db, index):
     return compute_utility(get_utility_chain(pattern, db, index))
+
+
+def _repeated_db(sequences, externals):
+    """One sequence per list of (item, quantity) pairs; items are 1, 2, ..."""
+    return QSequenceDatabase(
+        tuple(
+            QSequence(sid, tuple(QItem(i, q) for i, q in elements))
+            for sid, elements in enumerate(sequences)
+        ),
+        ExternalUtilityTable(dict(enumerate(externals, start=1))),
+    )
+
+
+# Databases over one or two items, so runs of one item are long: the shape in
+# which many position subsets of a root spell the same pattern.
+_repeated = st.tuples(
+    st.integers(min_value=1, max_value=2).flatmap(
+        lambda alphabet: st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=1, max_value=alphabet),
+                    st.integers(min_value=1, max_value=4),
+                ),
+                min_size=1,
+                max_size=9,
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    ),
+    st.tuples(
+        st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3)
+    ),
+)
 
 
 class TestEquivalence:
@@ -63,6 +103,38 @@ class TestEquivalence:
         db = random_database(seed)
         cfg = MiningConfig(min_util=min_util, max_len=max_len)
         assert mine_shrink(db, cfg).as_set() == mine_baseline(db, cfg).as_set()
+
+    @given(_repeated, st.integers(min_value=0, max_value=60))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_item_databases(self, spec, min_util):
+        db = _repeated_db(*spec)
+        cfg = MiningConfig(min_util=min_util)
+        expected = mine_baseline(db, cfg).as_set()
+        assert mine_shrink(db, cfg).as_set() == expected
+        assert mine_extend(db, cfg).as_set() == expected
+
+
+class TestRepetition:
+    def test_each_node_is_expanded_once(self, monkeypatch):
+        # n copies of one item have n distinct patterns; the search reaches
+        # them along all 2^n position subsets, but must expand each
+        # (pattern, start position) node once: at most n(n+1)/2 evaluations.
+        n = 12
+        db = _repeated_db([[(1, 1 + k % 3) for k in range(n)]], [1])
+        cfg = MiningConfig(min_util=10**9)
+        calls = []
+        evaluate = ChainStore.evaluate
+
+        def counting_evaluate(store, pattern):
+            calls.append(pattern)
+            return evaluate(store, pattern)
+
+        monkeypatch.setattr(ChainStore, "evaluate", counting_evaluate)
+        result = mine_shrink(db, cfg)
+        monkeypatch.undo()
+        assert len(calls) <= n * (n + 1) // 2
+        assert result.as_set() == mine_baseline(db, cfg).as_set()
+        assert len(result.as_set()) == n
 
 
 class TestCounter:
