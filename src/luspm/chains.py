@@ -58,6 +58,27 @@ def column_bound(rows: TaggedRows, cols: Sequence[int]):
     return total
 
 
+def prefix_bounds(rows: TaggedRows, p: int, width: int) -> list:
+    """``column_bound(rows, [0, .., p - 1, i])`` for every ``i`` in
+    ``p .. width - 1``, in that order, from one pass over the rows.
+
+    Each row's prefix key and prefix sum are taken once; each ``i`` keeps its
+    own set of the distinct (sid, prefix positions, position ``i``) it has
+    summed, so every bound is deduplicated exactly as ``column_bound``'s.
+    """
+    totals = [0] * (width - p)
+    seen: list[set] = [set() for _ in totals]
+    for sid, pos, util in rows:
+        head = (sid, pos[:p])
+        head_sum = sum(util[:p])
+        for k, (x, u) in enumerate(zip(pos[p:width], util[p:width])):
+            key = (head, x)
+            if key not in seen[k]:
+                seen[k].add(key)
+                totals[k] += head_sum + u
+    return totals
+
+
 def rows_total(rows: TaggedRows):
     return sum(sum(util) for _, _, util in rows)
 
@@ -82,6 +103,10 @@ class ChainStore:
         self.max_embeddings = max_embeddings
         self._memo: dict[Pattern, TaggedRows] = {}
         self._totals: dict[Pattern, tuple] = {}
+        # Per-sequence items, and the per-position utilities of each sequence
+        # a build has matched, by index into ``db.sequences``.
+        self._items = [seq.items for seq in db.sequences]
+        self._utils: dict[int, tuple] = {}
 
     def tagged(self, pattern: Pattern) -> TaggedRows:
         """The pattern's own chain rows, with embedding provenance."""
@@ -107,12 +132,15 @@ class ChainStore:
         """Rows grouped by sequence order, then embedding order. Counts as one
         utility computation."""
         rows: list[TaggedRow] = []
-        for seq in self.db.sequences:
-            if self.index is not None and not self.index.contains_all(seq, pattern):
+        sequences = self.db.sequences
+        for k in self._holders(pattern):
+            items = self._items[k]
+            if len(items) < len(pattern) or not is_subsequence(pattern, items):
                 continue
-            if not is_subsequence(pattern, seq.items):
-                continue
-            utils = self.db.sequence_utilities(seq)
+            seq = sequences[k]
+            utils = self._utils.get(k)
+            if utils is None:
+                utils = self._utils[k] = self.db.sequence_utilities(seq)
             for emb in enumerate_embeddings(
                 pattern, seq, self.index, self.max_embeddings
             ):
@@ -122,6 +150,25 @@ class ChainStore:
         if self.counter is not None:
             self.counter.increment()
         return tuple(rows)
+
+    def _holders(self, pattern: Pattern):
+        """Ascending indices into ``db.sequences`` of the sequences that hold
+        every item of the pattern, or of all sequences when the store has no
+        index."""
+        if self.index is None:
+            return range(len(self.db.sequences))
+        masks = self.index.masks
+        mask = (1 << len(self.db.sequences)) - 1
+        for item in set(pattern):
+            mask &= masks.get(item, 0)
+        # Bit k of the mask is character k of the reversed binary string.
+        bits = bin(mask)[:1:-1]
+        holders = []
+        k = bits.find("1")
+        while k >= 0:
+            holders.append(k)
+            k = bits.find("1", k + 1)
+        return holders
 
 
 def get_utility_chain(

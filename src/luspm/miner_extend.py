@@ -9,9 +9,10 @@ prefix inside this root can be a result, so the whole subtree is cut.
 The bound of a prefix depends on the root whose chain reaches it: one root can
 admit a pattern that another root's chain bounds out. Admitted prefixes are
 therefore only collected during the search, together with every prefix some
-root bounded out. Once all roots are done, only the candidates that no root
-bounded out are evaluated; each bound is a lower bound on the true utility,
-so the skipped ones cannot be results. Deferring the evaluation, rather than
+root cut, with the residual the cut covers. Once all roots are done, only the
+candidates that lie in no root's cut subtree are evaluated; each cut's bound
+is a lower bound on the true utility of every pattern in its subtree, so the
+skipped ones cannot be results. Deferring the evaluation, rather than
 skipping against the bounds seen so far, keeps the set of evaluated patterns
 independent of the order of the roots.
 """
@@ -22,7 +23,7 @@ import sys
 
 from .chains import ChainStore, TaggedRows, column_bound, restrict_rows
 from .miner_base import LuspRecord, LuspResult
-from .occurrence import UtilityCounter, build_bit_index
+from .occurrence import UtilityCounter, build_bit_index, is_subsequence
 from .preprocess import build_max_non_con_seq_set
 from .seqdb import MiningConfig, Pattern, QSequenceDatabase, resolve_min_util
 from .shadow import MiningShadow
@@ -42,10 +43,11 @@ class _ExtendMiner:
         self.max_len = cfg.max_len
         self.store = ChainStore(db, build_bit_index(db), counter)
         self.shadow = shadow
-        # Prefixes some root admitted, in first-admission order, and prefixes
-        # some root bounded out; both are filled by the search, read after it.
+        # Prefixes some root admitted, in first-admission order, and the cuts
+        # of every root as cut prefix -> residuals; both are filled by the
+        # search, read after it.
         self._candidates: dict[Pattern, None] = {}
-        self._bounded: set[Pattern] = set()
+        self._cuts: dict[Pattern, list[Pattern]] = {}
 
     def run(self) -> LuspResult:
         roots = build_max_non_con_seq_set(self.store, self.min_util).roots
@@ -58,7 +60,7 @@ class _ExtendMiner:
             sys.setrecursionlimit(limit)
         records = []
         for q in self._candidates:
-            if q in self._bounded:
+            if self._in_cut_subtree(q):
                 if self.shadow is not None:
                     self.shadow.sluspb_skip(q)
                 continue
@@ -69,6 +71,19 @@ class _ExtendMiner:
 
     def _len_ok(self, pattern: Pattern) -> bool:
         return self.max_len is None or len(pattern) <= self.max_len
+
+    def _in_cut_subtree(self, q: Pattern) -> bool:
+        """Whether some cut (P, R) covers ``q``: ``q = P + r`` with ``r`` a
+        subsequence of ``R``. Each distinct P-embedding among the cut's rows
+        extends to a distinct embedding of ``P + r`` and utilities are
+        positive, so the cut's bound is a lower bound on ``q``'s utility."""
+        for k in range(1, len(q) + 1):
+            residuals = self._cuts.get(q[:k])
+            if residuals is not None:
+                rest = q[k:]
+                if any(is_subsequence(rest, r) for r in residuals):
+                    return True
+        return False
 
     def _extension(self, s: Pattern, rows: TaggedRows, q_len: int) -> None:
         p = q_len
@@ -83,7 +98,7 @@ class _ExtendMiner:
         # Append it to the accumulated prefix.
         lbs = column_bound(rows, range(p + 1))
         if lbs > self.min_util:
-            self._bounded.add(s[: p + 1])
+            self._cuts.setdefault(s[: p + 1], []).append(s[p + 1 :])
             if self.shadow is not None:
                 self.shadow.ebisps_cut(s[: p + 1], s[p + 1 :])
             return

@@ -18,7 +18,16 @@ from __future__ import annotations
 
 import sys
 
-from .chains import ChainStore, TaggedRows, column_bound, restrict_rows, rows_total
+# ``column_bound`` is not called here; it stays imported because the
+# benchmark's tracer (perfbench/tracer.py) patches this module's name for it.
+from .chains import (
+    ChainStore,
+    TaggedRows,
+    column_bound,
+    prefix_bounds,
+    restrict_rows,
+    rows_total,
+)
 from .miner_base import LuspRecord, LuspResult
 from .occurrence import UtilityCounter, build_bit_index
 from .preprocess import build_max_non_con_seq_set
@@ -140,12 +149,8 @@ class _ShrinkMiner:
     def _prune_item(
         self, s: Pattern, rows: TaggedRows, p: int
     ) -> tuple[Pattern, TaggedRows, bool]:
-        prefix = list(range(p))
-        marked = [
-            i
-            for i in range(p, len(s))
-            if column_bound(rows, prefix + [i]) > self.min_util
-        ]
+        bounds = prefix_bounds(rows, p, len(s))
+        marked = [i for i, bound in enumerate(bounds, p) if bound > self.min_util]
         if not marked:
             return s, rows, False
         if self.shadow is not None:

@@ -65,31 +65,41 @@ class UtilityCounter:
 
 @dataclass(frozen=True)
 class BitIndex:
-    """Per-sequence position lists for each item.
+    """Per-sequence position lists and per-item sequence masks.
 
     ``positions[sid][item]`` holds, in increasing order, the positions of that
-    sequence that hold the item. Purely an accelerator: every result must be
-    identical with ``index=None``.
+    sequence that hold the item. Bit ``k`` of ``masks[item]`` is set when
+    ``db.sequences[k]`` holds the item (a vertical bitmap, as in SPAM), so
+    the sequences that hold every item of a pattern are the AND of its
+    items' masks. Purely an accelerator: every result must be identical with
+    ``index=None``.
     """
 
     positions: dict[int, dict[int, tuple[int, ...]]] = field(default_factory=dict)
+    masks: dict[int, int] = field(default_factory=dict)
 
     def item_positions(self, seq: QSequence, item: int) -> tuple[int, ...]:
         return self.positions[seq.sid].get(item, ())
 
-    def contains_all(self, seq: QSequence, pattern: Pattern) -> bool:
-        present = self.positions[seq.sid]
-        return all(item in present for item in pattern)
-
 
 def build_bit_index(db: QSequenceDatabase) -> BitIndex:
     positions: dict[int, dict[int, tuple[int, ...]]] = {}
-    for seq in db.sequences:
+    # Mask bytes per item, so each sequence sets one bit in place rather than
+    # rebuilding an ever larger int.
+    holders: dict[int, bytearray] = {}
+    size = (len(db.sequences) + 7) // 8
+    for k, seq in enumerate(db.sequences):
         p: dict[int, list[int]] = {}
         for j, e in enumerate(seq.elements):
             p.setdefault(e.item, []).append(j)
         positions[seq.sid] = {item: tuple(v) for item, v in p.items()}
-    return BitIndex(positions)
+        for item in p:
+            buf = holders.get(item)
+            if buf is None:
+                buf = holders[item] = bytearray(size)
+            buf[k >> 3] |= 1 << (k & 7)
+    masks = {item: int.from_bytes(buf, "little") for item, buf in holders.items()}
+    return BitIndex(positions, masks)
 
 
 def is_subsequence(shorter: Pattern, longer: Pattern) -> bool:

@@ -3,19 +3,29 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luspm import (
+    ExternalUtilityTable,
     MiningConfig,
+    QSequenceDatabase,
     UtilityCounter,
     build_bit_index,
     compute_utility,
+    generate_synthetic,
     mine_baseline,
 )
 from luspm import chains
-from luspm.chains import ChainStore, column_bound, restrict_rows, rows_total
+from luspm.chains import (
+    ChainStore,
+    column_bound,
+    prefix_bounds,
+    restrict_rows,
+    rows_total,
+)
 
 from conftest import random_database
 
@@ -125,3 +135,74 @@ class TestChainStore:
             chain = store.chain(r.pattern)
             assert chain.support == r.support
             assert compute_utility(chain) == r.utility
+
+
+class TestPrefixBounds:
+    def test_equals_column_bound_for_every_prefix(self):
+        # Two or three items over long sequences give many embeddings per
+        # pattern, so rows collapse onto shared (prefix, position) keys;
+        # thirds make every utility a Fraction.
+        collapsed = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            db = generate_synthetic(3, rng.randint(2, 3), 5, 8, 4, 4, seed)
+            thirds = {i: Fraction(v, 3) for i, v in db.utilities.values.items()}
+            db = QSequenceDatabase(db.sequences, ExternalUtilityTable(thirds))
+            seq = rng.choice(db.sequences)
+            k = rng.randint(2, min(5, len(seq)))
+            cols = sorted(rng.sample(range(len(seq)), k))
+            rows = _store(db).tagged(tuple(seq.items[j] for j in cols))
+            for p in range(k):
+                bounds = prefix_bounds(rows, p, k)
+                assert len(bounds) == k - p
+                for i in range(p, k):
+                    keep = list(range(p)) + [i]
+                    assert bounds[i - p] == column_bound(rows, keep)
+                    collapsed += len(restrict_rows(rows, keep)) < len(rows)
+        assert collapsed > 0
+
+    def test_no_rows_bound_to_zero(self):
+        assert prefix_bounds((), 1, 4) == [0, 0, 0]
+
+
+class TestScan:
+    def test_build_visits_only_sequences_that_can_hold_the_pattern(
+        self, monkeypatch
+    ):
+        db = generate_synthetic(60, 30, 3, 10, 5, 5, seed=5)
+        rng = random.Random(5)
+        patterns = []
+        for _ in range(40):
+            seq = rng.choice(db.sequences)
+            k = rng.randint(1, len(seq))
+            patterns.append(
+                tuple(seq.items[j] for j in sorted(rng.sample(range(len(seq)), k)))
+            )
+        # Repeated items, longer than many sequences that hold the item.
+        patterns += [(item,) * n for item in (1, 2, 3) for n in (2, 4, 6)]
+        patterns.append((1, 2, 3, 4, 5, 6))
+        expected = {p: ChainStore(db, None).tagged(p) for p in patterns}
+
+        visited = []
+        embed = chains.enumerate_embeddings
+        subsequence = chains.is_subsequence
+
+        def enumerate_embeddings(pattern, seq, *args):
+            visited.append((pattern, seq.items))
+            return embed(pattern, seq, *args)
+
+        def is_subsequence(pattern, items):
+            visited.append((pattern, items))
+            return subsequence(pattern, items)
+
+        monkeypatch.setattr(chains, "enumerate_embeddings", enumerate_embeddings)
+        monkeypatch.setattr(chains, "is_subsequence", is_subsequence)
+        store = _store(db)
+        for p in patterns:
+            assert store.tagged(p) == expected[p]
+        assert visited
+        for pattern, items in visited:
+            assert set(pattern) <= set(items)
+            assert len(items) >= len(pattern)
+        # Most sequences hold few of 30 items: the scan skips them unread.
+        assert len(visited) < len(patterns) * len(db) // 4

@@ -23,6 +23,7 @@ from luspm import (
     mine_extend,
     mine_shrink,
 )
+from luspm.chains import ChainStore
 
 from conftest import random_database
 
@@ -33,6 +34,14 @@ class CutRecordingShadow(MiningShadow):
 
     def ebisps_cut(self, accumulated, residual):
         self.cuts.append((accumulated, residual))
+
+
+class SkipRecordingShadow(MiningShadow):
+    def __init__(self):
+        self.skips = []
+
+    def sluspb_skip(self, pattern):
+        self.skips.append(pattern)
 
 
 def _utility(pattern, db, index):
@@ -112,6 +121,31 @@ class TestCounter:
         mine_extend(reordered, cfg, reordered_counter)
         assert extend_counter.count <= shrink_counter.count
         assert reordered_counter.count == extend_counter.count
+
+    def test_candidates_in_a_cut_subtree_are_not_evaluated(self, monkeypatch):
+        # Each candidate extend admits on this database is some root's cut
+        # prefix plus a subsequence of that cut's residual. Skipping only the
+        # cut prefixes themselves evaluates 5 candidates and builds 64 chains.
+        db = generate_synthetic(30, 4, 13, 14, 5, 5, seed=7)
+        cfg = MiningConfig(min_util=8)
+        evaluated = []
+        evaluate = ChainStore.evaluate
+
+        def counting_evaluate(store, pattern):
+            evaluated.append(pattern)
+            return evaluate(store, pattern)
+
+        counter = UtilityCounter()
+        shadow = SkipRecordingShadow()
+        with monkeypatch.context() as m:
+            m.setattr(ChainStore, "evaluate", counting_evaluate)
+            result = mine_extend(db, cfg, counter, shadow)
+        assert result.as_set() == mine_baseline(db, cfg).as_set()
+        assert len(evaluated) < 5
+        assert counter.count < 64
+        store = ChainStore(db, build_bit_index(db))
+        assert shadow.skips
+        assert all(store.evaluate(q)[0] > cfg.min_util for q in shadow.skips)
 
 
 class TestSubtreeCutSafety:
