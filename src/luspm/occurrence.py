@@ -9,7 +9,7 @@ the sequence-utility chain, which ``chains.ChainStore`` builds.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmbeddingCapExceeded
@@ -71,12 +71,13 @@ class BitIndex:
     sequence that hold the item. Bit ``k`` of ``masks[item]`` is set when
     ``db.sequences[k]`` holds the item (a vertical bitmap, as in SPAM), so
     the sequences that hold every item of a pattern are the AND of its
-    items' masks. Purely an accelerator: every result must be identical with
-    ``index=None``.
+    items' masks. The masks are indexed by position in ``db.sequences``, so
+    an index is valid only for the database it was built from. Purely an
+    accelerator: every result must be identical with ``index=None``.
     """
 
-    positions: dict[int, dict[int, tuple[int, ...]]] = field(default_factory=dict)
-    masks: dict[int, int] = field(default_factory=dict)
+    positions: dict[int, dict[int, tuple[int, ...]]]
+    masks: dict[int, int]
 
     def item_positions(self, seq: QSequence, item: int) -> tuple[int, ...]:
         return self.positions[seq.sid].get(item, ())
@@ -84,21 +85,14 @@ class BitIndex:
 
 def build_bit_index(db: QSequenceDatabase) -> BitIndex:
     positions: dict[int, dict[int, tuple[int, ...]]] = {}
-    # Mask bytes per item, so each sequence sets one bit in place rather than
-    # rebuilding an ever larger int.
-    holders: dict[int, bytearray] = {}
-    size = (len(db.sequences) + 7) // 8
+    masks: dict[int, int] = {}
     for k, seq in enumerate(db.sequences):
         p: dict[int, list[int]] = {}
         for j, e in enumerate(seq.elements):
             p.setdefault(e.item, []).append(j)
         positions[seq.sid] = {item: tuple(v) for item, v in p.items()}
         for item in p:
-            buf = holders.get(item)
-            if buf is None:
-                buf = holders[item] = bytearray(size)
-            buf[k >> 3] |= 1 << (k & 7)
-    masks = {item: int.from_bytes(buf, "little") for item, buf in holders.items()}
+            masks[item] = masks.get(item, 0) | 1 << k
     return BitIndex(positions, masks)
 
 

@@ -69,6 +69,16 @@ class TestEnumerateEmbeddings:
                     pattern, seq, index
                 )
 
+    def test_index_masks_mark_holding_sequences(self, ref_db):
+        index = build_bit_index(ref_db)
+        for item, mask in index.masks.items():
+            for k, seq in enumerate(ref_db.sequences):
+                holds = any(e.item == item for e in seq.elements)
+                assert bool(mask >> k & 1) == holds
+        # An index without masks would give empty chains; it cannot be built.
+        with pytest.raises(TypeError):
+            luspm.BitIndex(index.positions)
+
     def test_strictly_increasing(self, ref_db):
         for seq in ref_db.sequences:
             for emb in enumerate_embeddings((A, A), seq):
