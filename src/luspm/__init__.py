@@ -33,7 +33,6 @@ from .miner_extend import mine_extend
 from .miner_shrink import mine_shrink
 from .occurrence import (
     BitIndex,
-    Embedding,
     SUChain,
     UtilityCounter,
     build_bit_index,
@@ -63,7 +62,6 @@ __all__ = [
     "BitIndex",
     "CandidateCapExceeded",
     "ChainStore",
-    "Embedding",
     "EmbeddingCapExceeded",
     "ExternalUtilityTable",
     "LuspRecord",

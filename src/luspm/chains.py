@@ -141,12 +141,10 @@ class ChainStore:
             utils = self._utils.get(k)
             if utils is None:
                 utils = self._utils[k] = self.db.sequence_utilities(seq)
-            for emb in enumerate_embeddings(
+            for pos in enumerate_embeddings(
                 pattern, seq, self.index, self.max_embeddings
             ):
-                rows.append(
-                    (seq.sid, emb.positions, tuple(utils[j] for j in emb.positions))
-                )
+                rows.append((seq.sid, pos, tuple(utils[j] for j in pos)))
         if self.counter is not None:
             self.counter.increment()
         return tuple(rows)

@@ -7,11 +7,20 @@ children are first screened by its restricted sum (the lower bound LBS) so
 most true-utility evaluations are skipped, and positions whose frozen-prefix
 lower bound exceeds the threshold are removed wholesale (``_prune_item``).
 
-An exact expansion ``_shrinkage(s, p)`` depends only on the pattern, the
-position and the threshold, and its effects (first-wins records, memoized
-chains) are idempotent, so each (pattern, position) node is expanded once per
-run. Without that, n copies of one item reach the same n patterns along all
-2^n position subsets.
+Each (pattern, position) node is expanded once per run, by whichever regime
+reaches it first; the same node is reached again from other roots and other
+removal orders, and on n copies of one item along all 2^n position subsets.
+That is sound because both regimes at ``(s, p)`` search the same subtree,
+every subsequence of ``s`` that keeps ``s[:p]``, and each regime is complete
+for it under any valid lower-bound rows. A second visit, even with another
+root's rows, could only repeat effects that are idempotent: first-wins
+records and memoized evaluations. The node is the ``s`` that enters the call,
+before ``_prune_item`` shrinks it.
+
+The memo is a position bitmask per pattern (bit ``p`` set once ``(s, p)`` is
+expanded) rather than a set of ``(s, p)`` pairs: a pattern is typically
+expanded at several positions, and one int per pattern holds them all for
+the price of one dict entry instead of one tuple and set slot per pair.
 """
 
 from __future__ import annotations
@@ -50,7 +59,8 @@ class _ShrinkMiner:
         self.store = ChainStore(db, build_bit_index(db), counter)
         self.shadow = shadow
         self._sink: dict[Pattern, tuple] = {}
-        self._expanded: set[tuple[Pattern, int]] = set()
+        # Pattern -> bitmask of the positions it has been expanded at.
+        self._expanded: dict[Pattern, int] = {}
 
     def run(self) -> LuspResult:
         roots = build_max_non_con_seq_set(self.store, self.min_util).roots
@@ -81,10 +91,17 @@ class _ShrinkMiner:
         else:
             self._shrinkage_depth(root, self.store.tagged(root), 0)
 
+    def _first_visit(self, s: Pattern, p: int) -> bool:
+        """Mark ``(s, p)`` expanded; false if it already was."""
+        done = self._expanded.get(s, 0)
+        if done >> p & 1:
+            return False
+        self._expanded[s] = done | 1 << p
+        return True
+
     def _shrinkage(self, s: Pattern, p: int) -> None:
-        if (s, p) in self._expanded:
+        if not self._first_visit(s, p):
             return
-        self._expanded.add((s, p))
         if p + 1 < len(s):
             self._shrinkage(s, p + 1)
         if p < len(s):
@@ -101,6 +118,8 @@ class _ShrinkMiner:
                 self._shrinkage_depth(q, self.store.tagged(q), p)
 
     def _shrinkage_depth(self, s: Pattern, rows: TaggedRows, p: int) -> None:
+        if not self._first_visit(s, p):
+            return
         if p < len(s):
             s, rows, pruned = self._prune_item(s, rows, p)
             if pruned and s:

@@ -17,15 +17,6 @@ from .seqdb import Pattern, QSequence, QSequenceDatabase
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """One occurrence of a pattern: strictly increasing positions, one per
-    pattern element."""
-
-    sid: int
-    positions: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SUChain:
     """Per-embedding utility rows for one pattern across the database.
 
@@ -113,9 +104,10 @@ def enumerate_embeddings(
     seq: QSequence,
     index: BitIndex | None = None,
     max_embeddings: int | None = None,
-) -> list[Embedding]:
-    """All strictly increasing position assignments matching the pattern, in
-    lexicographic position order.
+) -> list[tuple[int, ...]]:
+    """All embeddings of the pattern in the sequence, in lexicographic order:
+    each is the tuple of strictly increasing positions matched, one per
+    pattern element.
 
     Built one pattern position at a time, without recursion, so the pattern
     length is not limited by the interpreter's recursion limit.
@@ -141,7 +133,7 @@ def enumerate_embeddings(
             raise EmbeddingCapExceeded(
                 f"pattern {pattern} exceeds {max_embeddings} embeddings in sid {seq.sid}"
             )
-    return [Embedding(seq.sid, positions) for positions in level]
+    return level
 
 
 def compute_utility(chain: SUChain, prefix_len: int | None = None):

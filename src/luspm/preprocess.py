@@ -21,12 +21,6 @@ class MaxNonConSeqSet:
 
     roots: tuple[Pattern, ...]
 
-    def __post_init__(self):
-        for i, a in enumerate(self.roots):
-            for j, b in enumerate(self.roots):
-                if i != j and is_subsequence(a, b):
-                    raise ValueError(f"root {a} is contained in root {b}")
-
 
 def eups_prune(pattern: Pattern, chain: SUChain, min_util) -> tuple[Pattern, SUChain]:
     """Remove every position whose column sum exceeds ``min_util``.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -19,11 +20,13 @@ from luspm import (
     UtilityCounter,
     build_bit_index,
     compute_utility,
+    generate_synthetic,
     get_utility_chain,
     mine_baseline,
     mine_extend,
     mine_shrink,
 )
+from luspm.miner_shrink import _ShrinkMiner
 
 from conftest import random_database
 
@@ -135,6 +138,61 @@ class TestRepetition:
         assert len(calls) <= n * (n + 1) // 2
         assert result.as_set() == mine_baseline(db, cfg).as_set()
         assert len(result.as_set()) == n
+
+    def test_no_node_is_expanded_twice_across_regimes(self, monkeypatch):
+        # Roots of a small alphabet share sub-patterns, and at this threshold
+        # some roots exceed it, so both regimes run and reach the same
+        # (pattern, position) nodes from different roots. A call expands its
+        # node if it does any work: calls a regime, evaluates or prunes.
+        db = generate_synthetic(12, 4, 13, 14, 5, 5, seed=7)
+        cfg = MiningConfig(min_util=20)
+        entered = Counter()
+        expanded = Counter()
+        regimes = set()
+        frames = []
+
+        def did_work():
+            if frames:
+                frames[-1][1] = True
+
+        def node(regime, method):
+            def wrapper(miner, s, *args):
+                did_work()
+                key = (s, args[-1])
+                regimes.add(regime)
+                entered[key] += 1
+                frames.append([key, False])
+                try:
+                    return method(miner, s, *args)
+                finally:
+                    key, worked = frames.pop()
+                    expanded[key] += worked
+
+            return wrapper
+
+        def working(method):
+            def wrapper(*args):
+                did_work()
+                return method(*args)
+
+            return wrapper
+
+        for name, regime in (("_shrinkage", "exact"), ("_shrinkage_depth", "depth")):
+            monkeypatch.setattr(
+                _ShrinkMiner, name, node(regime, getattr(_ShrinkMiner, name))
+            )
+        monkeypatch.setattr(_ShrinkMiner, "_prune_item", working(_ShrinkMiner._prune_item))
+        monkeypatch.setattr(ChainStore, "evaluate", working(ChainStore.evaluate))
+        counter = UtilityCounter()
+        result = mine_shrink(db, cfg, counter)
+        monkeypatch.undo()
+
+        assert regimes == {"exact", "depth"}
+        assert max(entered.values()) > 1  # nodes are reached more than once
+        assert max(expanded.values()) == 1, [k for k, v in expanded.items() if v > 1]
+        assert result.as_set() == mine_baseline(db, cfg).as_set()
+        # 558 before the memo covered the lower-bound-screened regime.
+        assert counter.count <= 558
 
 
 class TestCounter:

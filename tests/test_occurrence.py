@@ -59,7 +59,7 @@ class TestEnumerateEmbeddings:
         # [DERIVED] sid 4 is f e a b a b: <a,b> matches (2,3), (2,5), (4,5).
         seq = ref_db.sequences[3]
         embs = enumerate_embeddings((A, B), seq)
-        assert [e.positions for e in embs] == [(2, 3), (2, 5), (4, 5)]
+        assert embs == [(2, 3), (2, 5), (4, 5)]
 
     def test_index_is_transparent(self, ref_db):
         index = build_bit_index(ref_db)
@@ -82,7 +82,7 @@ class TestEnumerateEmbeddings:
     def test_strictly_increasing(self, ref_db):
         for seq in ref_db.sequences:
             for emb in enumerate_embeddings((A, A), seq):
-                assert emb.positions[0] < emb.positions[1]
+                assert emb[0] < emb[1]
 
     def test_embedding_cap(self, ref_db):
         seq = ref_db.sequences[0]  # holds three a positions
@@ -111,7 +111,7 @@ class TestEnumerateEmbeddings:
                 enumerate_embeddings(tuple(pattern), seq, max_embeddings=cap)
         else:
             embs = enumerate_embeddings(tuple(pattern), seq, max_embeddings=cap)
-            assert [e.positions for e in embs] == expected
+            assert embs == expected
 
     def test_long_pattern_in_fresh_interpreter(self):
         # Root construction builds the chain of a whole 1500-item sequence

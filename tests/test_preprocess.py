@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luspm import (
-    MaxNonConSeqSet,
     UtilityCounter,
     build_bit_index,
     build_max_non_con_seq_set,
@@ -56,9 +54,22 @@ class TestEupsPrune:
 
 
 class TestMaxNonConSeqSet:
-    def test_antichain_enforced(self):
-        with pytest.raises(ValueError):
-            MaxNonConSeqSet(((A,), (A, B)))
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0, 2, 5, 8, 15, 30, 10_000]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_roots_are_an_antichain(self, seed, min_util):
+        # The miners search each root's subtree; a root contained in another,
+        # or listed twice, would only repeat that search.
+        db = random_database(seed)
+        roots = build_max_non_con_seq_set(
+            ChainStore(db, build_bit_index(db)), min_util
+        ).roots
+        assert len(set(roots)) == len(roots)
+        for i, a in enumerate(roots):
+            for j, b in enumerate(roots):
+                assert i == j or not is_subsequence(a, b), (a, b)
 
     def test_reference_roots_at_huge_threshold(self, ref_db):
         # [DERIVED] nothing is pruned, and only sid 6's pattern <c,a,d,a> is a
@@ -82,8 +93,7 @@ class TestMaxNonConSeqSet:
         index = build_bit_index(db)
         min_util = 8
         roots = build_max_non_con_seq_set(ChainStore(db, index), min_util).roots
-        # Every pruned sequence pattern embeds in some root, and roots form an
-        # antichain (validated by the dataclass invariant on construction).
+        # Every pruned sequence pattern embeds in some root.
         for seq in db.sequences:
             chain = get_utility_chain(seq.items, db, index)
             pruned, _ = eups_prune(seq.items, chain, min_util)
