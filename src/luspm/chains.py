@@ -15,6 +15,7 @@ Only then is the restricted sum a true lower bound on the pattern's utility.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from .occurrence import (
@@ -31,30 +32,47 @@ TaggedRow = tuple[int, tuple[int, ...], tuple]
 TaggedRows = tuple[TaggedRow, ...]
 
 
+def _columns(cols: Sequence[int]):
+    """A C-level callable mapping a row's positions or utilities to the tuple
+    of the given (non-negative) columns."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    # ``itemgetter(c)`` returns the bare entry and ``itemgetter()`` is an
+    # error; a slice gives the 1- or 0-tuple.
+    return itemgetter(slice(cols[0], cols[0] + 1) if cols else slice(0))
+
+
 def restrict_rows(rows: TaggedRows, keep: Sequence[int]) -> TaggedRows:
     """Keep only the given columns, dropping rows that collapse onto an
     already-seen (sid, positions) embedding."""
+    take = _columns(keep)
+    if len(rows) == 1:
+        # Most calls carry one row, and one row cannot collapse.
+        ((sid, pos, util),) = rows
+        return ((sid, take(pos), take(util)),)
     out: list[TaggedRow] = []
     seen: set[tuple] = set()
     for sid, pos, util in rows:
-        p = tuple(pos[c] for c in keep)
-        key = (sid, p)
+        key = (sid, take(pos))
         if key not in seen:
             seen.add(key)
-            out.append((sid, p, tuple(util[c] for c in keep)))
+            out.append((sid, key[1], take(util)))
     return tuple(out)
 
 
 def column_bound(rows: TaggedRows, cols: Sequence[int]):
     """Lower bound (LBS) of the pattern formed by the given columns: entry sum
     over the distinct restricted embeddings."""
+    take = _columns(cols)
+    if len(rows) == 1:
+        return sum(take(rows[0][2]))
     total = 0
     seen: set[tuple] = set()
     for sid, pos, util in rows:
-        key = (sid, tuple(pos[c] for c in cols))
+        key = (sid, take(pos))
         if key not in seen:
             seen.add(key)
-            total += sum(util[c] for c in cols)
+            total += sum(take(util))
     return total
 
 
@@ -144,7 +162,7 @@ class ChainStore:
             for pos in enumerate_embeddings(
                 pattern, seq, self.index, self.max_embeddings
             ):
-                rows.append((seq.sid, pos, tuple(utils[j] for j in pos)))
+                rows.append((seq.sid, pos, tuple(map(utils.__getitem__, pos))))
         if self.counter is not None:
             self.counter.increment()
         return tuple(rows)

@@ -25,7 +25,13 @@ from .chains import ChainStore, TaggedRows, column_bound, restrict_rows
 from .miner_base import LuspRecord, LuspResult
 from .occurrence import UtilityCounter, build_bit_index, is_subsequence
 from .preprocess import build_max_non_con_seq_set
-from .seqdb import MiningConfig, Pattern, QSequenceDatabase, resolve_min_util
+from .seqdb import (
+    MiningConfig,
+    Pattern,
+    QSequenceDatabase,
+    comparison_threshold,
+    resolve_min_util,
+)
 from .shadow import MiningShadow
 
 RECURSION_HEADROOM = 100_000
@@ -40,6 +46,9 @@ class _ExtendMiner:
         shadow: MiningShadow | None,
     ):
         self.min_util = resolve_min_util(cfg, db)
+        # Every comparison is against ``threshold``; the result keeps the
+        # exact ``min_util``.
+        self.threshold = comparison_threshold(self.min_util, db)
         self.max_len = cfg.max_len
         self.store = ChainStore(db, build_bit_index(db), counter)
         self.shadow = shadow
@@ -50,7 +59,7 @@ class _ExtendMiner:
         self._cuts: dict[Pattern, list[Pattern]] = {}
 
     def run(self) -> LuspResult:
-        roots = build_max_non_con_seq_set(self.store, self.min_util).roots
+        roots = build_max_non_con_seq_set(self.store, self.threshold).roots
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, RECURSION_HEADROOM))
         try:
@@ -65,7 +74,7 @@ class _ExtendMiner:
                     self.shadow.sluspb_skip(q)
                 continue
             utility, support = self.store.evaluate(q)
-            if utility <= self.min_util:
+            if utility <= self.threshold:
                 records.append(LuspRecord(q, utility, support))
         return LuspResult.from_records(records, self.min_util, self.max_len)
 
@@ -92,12 +101,12 @@ class _ExtendMiner:
         # Drop the cursor position for the whole subtree.
         self._extension(
             s[:p] + s[p + 1 :],
-            restrict_rows(rows, [c for c in range(len(s)) if c != p]),
+            restrict_rows(rows, [*range(p), *range(p + 1, len(s))]),
             q_len,
         )
         # Append it to the accumulated prefix.
         lbs = column_bound(rows, range(p + 1))
-        if lbs > self.min_util:
+        if lbs > self.threshold:
             self._cuts.setdefault(s[: p + 1], []).append(s[p + 1 :])
             if self.shadow is not None:
                 self.shadow.ebisps_cut(s[: p + 1], s[p + 1 :])

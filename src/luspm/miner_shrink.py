@@ -40,7 +40,13 @@ from .chains import (
 from .miner_base import LuspRecord, LuspResult
 from .occurrence import UtilityCounter, build_bit_index
 from .preprocess import build_max_non_con_seq_set
-from .seqdb import MiningConfig, Pattern, QSequenceDatabase, resolve_min_util
+from .seqdb import (
+    MiningConfig,
+    Pattern,
+    QSequenceDatabase,
+    comparison_threshold,
+    resolve_min_util,
+)
 from .shadow import MiningShadow
 
 RECURSION_HEADROOM = 100_000
@@ -55,6 +61,9 @@ class _ShrinkMiner:
         shadow: MiningShadow | None,
     ):
         self.min_util = resolve_min_util(cfg, db)
+        # Every comparison is against ``threshold``; the result keeps the
+        # exact ``min_util``.
+        self.threshold = comparison_threshold(self.min_util, db)
         self.max_len = cfg.max_len
         self.store = ChainStore(db, build_bit_index(db), counter)
         self.shadow = shadow
@@ -63,7 +72,7 @@ class _ShrinkMiner:
         self._expanded: dict[Pattern, int] = {}
 
     def run(self) -> LuspResult:
-        roots = build_max_non_con_seq_set(self.store, self.min_util).roots
+        roots = build_max_non_con_seq_set(self.store, self.threshold).roots
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, RECURSION_HEADROOM))
         try:
@@ -82,7 +91,7 @@ class _ShrinkMiner:
 
     def _mine_root(self, root: Pattern) -> None:
         utility, support = self.store.evaluate(root)
-        if utility <= self.min_util:
+        if utility <= self.threshold:
             # ``_shrinkage(root, 0)`` reaches every removal product of the
             # root, so a lower-bound-screened pass from it would repeat work.
             self._shrinkage(root, 0)
@@ -109,7 +118,7 @@ class _ShrinkMiner:
             if not q:
                 return
             utility, support = self.store.evaluate(q)
-            if utility <= self.min_util:
+            if utility <= self.threshold:
                 if p < len(q):
                     self._shrinkage(q, p)
                 if self._len_ok(q):
@@ -135,12 +144,12 @@ class _ShrinkMiner:
         q = s[:p] + s[p + 1 :]
         if not q:
             return
-        new_rows = restrict_rows(rows, [c for c in range(len(s)) if c != p])
+        new_rows = restrict_rows(rows, [*range(p), *range(p + 1, len(s))])
         if self._len_ok(q):
             lbs = rows_total(new_rows)
-            if lbs <= self.min_util:
+            if lbs <= self.threshold:
                 utility, support = self.store.evaluate(q)
-                if utility <= self.min_util:
+                if utility <= self.threshold:
                     self._record(q, utility, support)
                     self._shrinkage(q, p)
                 elif p < len(q):
@@ -157,19 +166,19 @@ class _ShrinkMiner:
         """Lower-bound-gated evaluation of one candidate, without recursion."""
         if not self._len_ok(q):
             return
-        if rows_total(rows) > self.min_util:
+        if rows_total(rows) > self.threshold:
             if self.shadow is not None:
                 self.shadow.sluspb_skip(q)
             return
         utility, support = self.store.evaluate(q)
-        if utility <= self.min_util:
+        if utility <= self.threshold:
             self._record(q, utility, support)
 
     def _prune_item(
         self, s: Pattern, rows: TaggedRows, p: int
     ) -> tuple[Pattern, TaggedRows, bool]:
         bounds = prefix_bounds(rows, p, len(s))
-        marked = [i for i, bound in enumerate(bounds, p) if bound > self.min_util]
+        marked = [i for i, bound in enumerate(bounds, p) if bound > self.threshold]
         if not marked:
             return s, rows, False
         if self.shadow is not None:

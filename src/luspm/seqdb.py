@@ -8,6 +8,7 @@ external utilities, one per item. Utilities are exact: integer values stay
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -258,3 +259,20 @@ def resolve_min_util(cfg: MiningConfig, db: QSequenceDatabase) -> int | Fraction
         return cfg.min_util
     sigma = cfg.sigma if isinstance(cfg.sigma, Fraction) else Fraction(str(cfg.sigma))
     return _normalize(Fraction(sigma * database_utility(db)))
+
+
+def comparison_threshold(min_util: int | Fraction, db: QSequenceDatabase) -> int | Fraction:
+    """A threshold that every utility of ``db`` compares against exactly as
+    against ``min_util``, and more cheaply.
+
+    When every external utility and quantity is an ``int``, so is every
+    utility, lower bound and sum the miners compare, and for an integer u,
+    ``u <= min_util`` exactly when ``u <= floor(min_util)``: the floor, an
+    ``int``, then replaces a ``Fraction`` threshold. Otherwise ``min_util``
+    is returned unchanged.
+    """
+    if all(isinstance(v, int) for v in db.utilities.values.values()) and all(
+        isinstance(e.quantity, int) for seq in db.sequences for e in seq.elements
+    ):
+        return math.floor(min_util)
+    return min_util

@@ -60,6 +60,42 @@ class TestRestrictRows:
         assert column_bound(rows, (0, 2)) == rows_total(restrict_rows(rows, (0, 2)))
 
 
+class TestKernels:
+    def test_restrict_and_bound_equal_reference(self):
+        # Few sids and positions make restricted rows collapse; odd seeds
+        # draw Fraction utilities; row sets of 0 and 1 rows occur. Keeps of
+        # length 0 and 1 are tried on every row set, beside random and full
+        # ones.
+        collapsed = fractions = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            width = rng.randint(1, 5)
+            rows = []
+            for _ in range(rng.randint(0, 12)):
+                pos = tuple(sorted(rng.sample(range(width + 2), width)))
+                if seed % 2:
+                    util = tuple(Fraction(rng.randint(1, 9), 3) for _ in pos)
+                else:
+                    util = tuple(rng.randint(1, 9) for _ in pos)
+                rows.append((rng.randint(0, 2), pos, util))
+            rows = tuple(rows)
+            keeps = [(), (rng.randrange(width),), tuple(range(width))]
+            keeps.append(tuple(sorted(rng.sample(range(width), rng.randint(0, width)))))
+            for keep in keeps:
+                first: dict = {}
+                for sid, pos, util in rows:
+                    first.setdefault(
+                        (sid, tuple(pos[c] for c in keep)),
+                        tuple(util[c] for c in keep),
+                    )
+                expected = tuple((sid, p, u) for (sid, p), u in first.items())
+                assert restrict_rows(rows, keep) == expected
+                assert column_bound(rows, keep) == sum(sum(u) for u in first.values())
+                collapsed += len(expected) < len(rows)
+                fractions += any(isinstance(x, Fraction) for _, _, u in expected for x in u)
+        assert collapsed > 0 and fractions > 0
+
+
 class TestLowerBoundProperties:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from luspm import (
+    ExternalUtilityTable,
     MiningConfig,
+    QSequenceDatabase,
     SweepSpec,
+    database_utility,
     dataset_fingerprint,
     generate_synthetic,
     mine_baseline,
@@ -22,7 +26,8 @@ from luspm import (
     serialize_utility_table,
 )
 from luspm.cli import main
-from luspm.harness import parse_metrics_csv
+from luspm.harness import ALGORITHMS, METRICS_HEADER, parse_metrics_csv
+from luspm.seqdb import comparison_threshold, resolve_min_util
 
 
 @pytest.fixture
@@ -71,6 +76,50 @@ class TestRunOnce:
     def test_csv_row_shape(self, small_db):
         _, report = run_once(small_db, MiningConfig(min_util=5), "base")
         assert len(report.csv_row().split(",")) == 9
+
+
+class TestThreshold:
+    """The miners compare against ``floor(min_util)`` when every utility is an
+    int, and against ``min_util`` itself otherwise; either way all three
+    miners agree with the baseline's exact comparison."""
+
+    def _agreeing_results(self, db, cfg):
+        runs = {a: run_once(db, cfg, a) for a in ALGORITHMS}
+        sets = [result.as_set() for result, _ in runs.values()]
+        assert sets[0] == sets[1] == sets[2]
+        return runs
+
+    def test_fractional_sigma_threshold_keeps_patterns_at_its_floor(self, small_db):
+        # Patterns of utility 15 and 16 exist; a threshold of 31/2 admits the
+        # first (utility equal to the floor) and excludes the second.
+        total = database_utility(small_db)
+        cfg = MiningConfig(sigma=Fraction(31, 2 * total))
+        min_util = resolve_min_util(cfg, small_db)
+        assert min_util == Fraction(31, 2)
+        assert comparison_threshold(min_util, small_db) == 15
+        every = mine_baseline(small_db, MiningConfig(min_util=10**9)).records
+        assert {15, 16} <= {r.utility for r in every}
+        runs = self._agreeing_results(small_db, cfg)
+        for result, report in runs.values():
+            assert result.min_util == Fraction(31, 2)
+            row = parse_metrics_csv(f"{METRICS_HEADER}\n{report.csv_row()}\n")[0]
+            assert row["min_util"] == "31/2"
+            utilities = {r.utility for r in result.records}
+            assert 15 in utilities and max(utilities) == 15
+
+    def test_fractional_external_utility_keeps_the_exact_threshold(self, small_db):
+        values = {**small_db.utilities.values, 2: Fraction(4, 3)}
+        db = QSequenceDatabase(small_db.sequences, ExternalUtilityTable(values))
+        every = mine_baseline(db, MiningConfig(min_util=10**9)).records
+        # A threshold that is itself a non-integer utility of some pattern.
+        target = min(
+            (r for r in every if isinstance(r.utility, Fraction) and r.utility > 10),
+            key=lambda r: r.utility,
+        )
+        cfg = MiningConfig(min_util=target.utility)
+        assert comparison_threshold(target.utility, db) == target.utility
+        for result, _ in self._agreeing_results(db, cfg).values():
+            assert target in result.records
 
 
 class TestFingerprintAndSampling:
