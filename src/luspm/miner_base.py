@@ -1,4 +1,4 @@
-"""Exhaustive baseline miner and the shared result model.
+"""Exhaustive baseline miner, the shared result model and the node memo.
 
 The baseline enumerates every distinct subsequence of every database sequence
 and keeps those with positive utility at most the threshold. It applies no
@@ -55,6 +55,23 @@ class LuspResult:
             items = " ".join(str(i) for i in r.pattern)
             lines.append(f"{items}\t{r.utility}\t{r.support}\n")
         return "".join(lines)
+
+
+def first_visit(expanded: dict[Pattern, int], s: Pattern, p: int) -> bool:
+    """Mark the search node ``(s, p)`` expanded in a miner's node memo; false
+    if it already was.
+
+    The memo maps each pattern to a bitmask of the positions it has been
+    expanded at (bit ``p`` set once ``(s, p)`` is), rather than holding a set
+    of ``(s, p)`` pairs: a pattern is typically expanded at several
+    positions, and one int per pattern holds them all for the price of one
+    dict entry instead of one tuple and set slot per pair.
+    """
+    done = expanded.get(s, 0)
+    if done >> p & 1:
+        return False
+    expanded[s] = done | 1 << p
+    return True
 
 
 def enumerate_all_subsequences(

@@ -6,6 +6,24 @@ appended prefix is admitted only while its restricted chain sum (the lower
 bound LBS) stays within the threshold; once it exceeds it, nothing above that
 prefix inside this root can be a result, so the whole subtree is cut.
 
+The search has two regimes, chosen per node by the total of the rows it
+carries. Utilities are strictly positive and restriction deduplicates rows,
+so every bound in a node's subtree, prefix bound or restricted total, is at
+most that total: the bounds are monotone down the tree.
+
+- Above the threshold (``_extension``), the node carries its rows, computes
+  each prefix bound and cuts where one exceeds the threshold. This regime
+  alone makes cuts; it is not memoized.
+- Within the threshold (``_admit_all``), no bound below the node can exceed
+  the threshold, so the subtree makes no cut and admits every ``s[:p] + r``,
+  ``r`` a non-empty subsequence of ``s[p:]``. The walk keeps the rows
+  regime's drop, append, record order but carries no rows. Each
+  ``(pattern, cursor)`` node is expanded once per run (``first_visit``): what
+  it admits depends on ``(s, p)`` alone, so a repeat visit, from another
+  root or another drop order, would only re-admit candidates the first visit
+  already added, and a node in this regime records no cuts. n copies of one
+  item cost about n²/2 admission nodes, not 2^n.
+
 The bound of a prefix depends on the root whose chain reaches it: one root can
 admit a pattern that another root's chain bounds out. Admitted prefixes are
 therefore only collected during the search, together with every prefix some
@@ -20,9 +38,10 @@ independent of the order of the roots.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 
-from .chains import ChainStore, TaggedRows, column_bound, restrict_rows
-from .miner_base import LuspRecord, LuspResult
+from .chains import ChainStore, TaggedRows, column_bound, restrict_rows, rows_total
+from .miner_base import LuspRecord, LuspResult, first_visit
 from .occurrence import UtilityCounter, build_bit_index, is_subsequence
 from .preprocess import build_max_non_con_seq_set
 from .seqdb import (
@@ -57,6 +76,8 @@ class _ExtendMiner:
         # search, read after it.
         self._candidates: dict[Pattern, None] = {}
         self._cuts: dict[Pattern, list[Pattern]] = {}
+        # Pattern -> bitmask of the positions it has been expanded at.
+        self._expanded: dict[Pattern, int] = {}
 
     def run(self) -> LuspResult:
         roots = build_max_non_con_seq_set(self.store, self.threshold).roots
@@ -64,7 +85,12 @@ class _ExtendMiner:
         sys.setrecursionlimit(max(limit, RECURSION_HEADROOM))
         try:
             for root in roots:
-                self._extension(root, self.store.tagged(root), 0)
+                rows = self.store.tagged(root)
+                total = rows_total(rows)
+                if total <= self.threshold:
+                    self._admit_all(root, 0)
+                else:
+                    self._extension(root, rows, 0, total)
         finally:
             sys.setrecursionlimit(limit)
         records = []
@@ -94,24 +120,54 @@ class _ExtendMiner:
                     return True
         return False
 
-    def _extension(self, s: Pattern, rows: TaggedRows, q_len: int) -> None:
-        p = q_len
-        if p >= len(s):
-            return
-        # Drop the cursor position for the whole subtree.
-        self._extension(
-            s[:p] + s[p + 1 :],
-            restrict_rows(rows, [*range(p), *range(p + 1, len(s))]),
-            q_len,
-        )
+    def _extension(self, s: Pattern, rows: TaggedRows, p: int, total) -> None:
+        """Rows regime at cursor ``p``; ``total`` is ``rows_total(rows)``,
+        above the threshold."""
+        if p + 1 < len(s):
+            # Drop the cursor position for the whole subtree.
+            t = s[:p] + s[p + 1 :]
+            keep = [*range(p), *range(p + 1, len(s))]
+            if len(rows) == 1:
+                # One row cannot collapse, so the child's total is known
+                # without restricting, and an admitted child needs no rows.
+                child = None
+                child_total = total - rows[0][2][p]
+            else:
+                child = restrict_rows(rows, keep)
+                child_total = rows_total(child)
+            if child_total <= self.threshold:
+                self._admit_all(t, p)
+            else:
+                if child is None:
+                    child = restrict_rows(rows, keep)
+                self._extension(t, child, p, child_total)
         # Append it to the accumulated prefix.
         lbs = column_bound(rows, range(p + 1))
         if lbs > self.threshold:
-            self._cuts.setdefault(s[: p + 1], []).append(s[p + 1 :])
+            prefix, residual = s[: p + 1], s[p + 1 :]
+            # Other drop orders and roots repeat a cut; each prefix's residuals
+            # are kept sorted and distinct, so a repeat is found by bisection.
+            residuals = self._cuts.setdefault(prefix, [])
+            i = bisect_left(residuals, residual)
+            if i == len(residuals) or residuals[i] != residual:
+                residuals.insert(i, residual)
             if self.shadow is not None:
-                self.shadow.ebisps_cut(s[: p + 1], s[p + 1 :])
+                self.shadow.ebisps_cut(prefix, residual)
             return
-        self._extension(s, rows, p + 1)
+        if p + 1 < len(s):
+            self._extension(s, rows, p + 1, total)
+        q = s[: p + 1]
+        if self._len_ok(q):
+            self._candidates[q] = None
+
+    def _admit_all(self, s: Pattern, p: int) -> None:
+        """Row-free regime at cursor ``p``: admit every ``s[:p] + r``, in
+        ``_extension``'s order, once per ``(s, p)``."""
+        if not first_visit(self._expanded, s, p):
+            return
+        if p + 1 < len(s):
+            self._admit_all(s[:p] + s[p + 1 :], p)
+            self._admit_all(s, p + 1)
         q = s[: p + 1]
         if self._len_ok(q):
             self._candidates[q] = None

@@ -15,12 +15,9 @@ every subsequence of ``s`` that keeps ``s[:p]``, and each regime is complete
 for it under any valid lower-bound rows. A second visit, even with another
 root's rows, could only repeat effects that are idempotent: first-wins
 records and memoized evaluations. The node is the ``s`` that enters the call,
-before ``_prune_item`` shrinks it.
-
-The memo is a position bitmask per pattern (bit ``p`` set once ``(s, p)`` is
-expanded) rather than a set of ``(s, p)`` pairs: a pattern is typically
-expanded at several positions, and one int per pattern holds them all for
-the price of one dict entry instead of one tuple and set slot per pair.
+before ``_prune_item`` shrinks it. The memo is kept by
+``miner_base.first_visit``, which the extension miner's row-free regime
+shares.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from .chains import (
     restrict_rows,
     rows_total,
 )
-from .miner_base import LuspRecord, LuspResult
+from .miner_base import LuspRecord, LuspResult, first_visit
 from .occurrence import UtilityCounter, build_bit_index
 from .preprocess import build_max_non_con_seq_set
 from .seqdb import (
@@ -100,16 +97,8 @@ class _ShrinkMiner:
         else:
             self._shrinkage_depth(root, self.store.tagged(root), 0)
 
-    def _first_visit(self, s: Pattern, p: int) -> bool:
-        """Mark ``(s, p)`` expanded; false if it already was."""
-        done = self._expanded.get(s, 0)
-        if done >> p & 1:
-            return False
-        self._expanded[s] = done | 1 << p
-        return True
-
     def _shrinkage(self, s: Pattern, p: int) -> None:
-        if not self._first_visit(s, p):
+        if not first_visit(self._expanded, s, p):
             return
         if p + 1 < len(s):
             self._shrinkage(s, p + 1)
@@ -127,7 +116,7 @@ class _ShrinkMiner:
                 self._shrinkage_depth(q, self.store.tagged(q), p)
 
     def _shrinkage_depth(self, s: Pattern, rows: TaggedRows, p: int) -> None:
-        if not self._first_visit(s, p):
+        if not first_visit(self._expanded, s, p):
             return
         if p < len(s):
             s, rows, pruned = self._prune_item(s, rows, p)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luspm import (
+    ExternalUtilityTable,
     MiningConfig,
     MiningShadow,
+    QItem,
+    QSequence,
     QSequenceDatabase,
     UtilityCounter,
     build_bit_index,
@@ -23,7 +27,10 @@ from luspm import (
     mine_extend,
     mine_shrink,
 )
+from luspm import chains, miner_extend
 from luspm.chains import ChainStore
+from luspm.occurrence import is_subsequence
+from luspm.preprocess import build_max_non_con_seq_set
 
 from conftest import random_database
 
@@ -46,6 +53,37 @@ class SkipRecordingShadow(MiningShadow):
 
 def _utility(pattern, db, index):
     return compute_utility(get_utility_chain(pattern, db, index))
+
+
+def _copies(n, item=1):
+    """One sequence of n copies of one item, quantities cycling 1..3."""
+    elements = tuple(QItem(item, 1 + k % 3) for k in range(n))
+    return QSequenceDatabase((QSequence(0, elements),), ExternalUtilityTable({item: 1}))
+
+
+def _reference_extension(db, min_util, max_len=None):
+    """Extension search over every position subset of every root, with rows
+    and bounds at each node and no memo: the admitted candidates in order and
+    the distinct cuts (prefix, residual)."""
+    store = ChainStore(db, build_bit_index(db))
+    candidates = {}
+    cuts = set()
+
+    def walk(s, rows, p):
+        if p >= len(s):
+            return
+        keep = [*range(p), *range(p + 1, len(s))]
+        walk(s[:p] + s[p + 1 :], chains.restrict_rows(rows, keep), p)
+        if chains.column_bound(rows, range(p + 1)) > min_util:
+            cuts.add((s[: p + 1], s[p + 1 :]))
+            return
+        walk(s, rows, p + 1)
+        if max_len is None or p + 1 <= max_len:
+            candidates[s[: p + 1]] = None
+
+    for root in build_max_non_con_seq_set(store, min_util).roots:
+        walk(root, store.tagged(root), 0)
+    return list(candidates), cuts
 
 
 class TestEquivalence:
@@ -146,6 +184,98 @@ class TestCounter:
         store = ChainStore(db, build_bit_index(db))
         assert shadow.skips
         assert all(store.evaluate(q)[0] > cfg.min_util for q in shadow.skips)
+
+
+class TestAdmission:
+    def _mine(self, monkeypatch, db, cfg, shadow=None):
+        """Mine, counting kernel calls and admission expansions."""
+        count = Counter()
+        first_visit = miner_extend.first_visit
+
+        def counting_first_visit(expanded, s, p):
+            first = first_visit(expanded, s, p)
+            count["expansions"] += first
+            return first
+
+        def counted(name):
+            fn = getattr(chains, name)
+
+            def wrapper(*args):
+                count[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name in ("restrict_rows", "column_bound"):
+                m.setattr(miner_extend, name, counted(name))
+            m.setattr(miner_extend, "first_visit", counting_first_visit)
+            result = mine_extend(db, cfg, shadow=shadow)
+        return result, count
+
+    def test_repeated_item_is_admitted_without_rows(self, monkeypatch):
+        # Every bound is within the threshold, so the whole search is the
+        # row-free walk: n(n+1)/2 (pattern, cursor) nodes, not 2^n subsets
+        # with a restriction and a bound at each.
+        n = 12
+        db = _copies(n)
+        cfg = MiningConfig(min_util=10**9)
+        result, count = self._mine(monkeypatch, db, cfg)
+        assert count["restrict_rows"] == 0
+        assert count["column_bound"] == 0
+        assert 0 < count["expansions"] <= n * (n + 1) // 2
+        assert result.as_set() == mine_baseline(db, cfg).as_set()
+        assert len(result) == n
+
+    def test_repeated_item_below_a_cutting_threshold(self, monkeypatch):
+        # Long prefixes of the root exceed 12 and are cut by the rows regime;
+        # dropping positions brings subtrees within 12, which are admitted.
+        n = 12
+        db = _copies(n)
+        cfg = MiningConfig(min_util=12)
+        shadow = CutRecordingShadow()
+        result, count = self._mine(monkeypatch, db, cfg, shadow)
+        assert count["restrict_rows"] > 0 and count["column_bound"] > 0
+        assert count["expansions"] > 0
+        assert shadow.cuts
+        assert result.as_set() == mine_baseline(db, cfg).as_set()
+
+    @pytest.mark.parametrize(
+        "db, min_util, max_len",
+        [(random_database(seed), [3, 6, 12, 25][seed % 4], [None, 2][seed % 5 == 0])
+         for seed in range(40)]
+        + [(_copies(n), min_util, None) for n in (6, 9) for min_util in (5, 12, 10**9)]
+        + [(_copies(8, 2), 9, 3)],
+    )
+    def test_cuts_and_evaluations_equal_a_plain_walk(
+        self, monkeypatch, db, min_util, max_len
+    ):
+        # The memoized row-free regime must lose no cut and admit nothing new:
+        # the distinct cuts equal the plain walk's, and exactly its candidates
+        # that no cut covers are evaluated, in its admission order.
+        cfg = MiningConfig(min_util=min_util, max_len=max_len)
+        candidates, cuts = _reference_extension(db, min_util, max_len)
+        evaluated = []
+        evaluate = ChainStore.evaluate
+
+        def recording_evaluate(store, pattern):
+            evaluated.append(pattern)
+            return evaluate(store, pattern)
+
+        shadow = CutRecordingShadow()
+        with monkeypatch.context() as m:
+            m.setattr(ChainStore, "evaluate", recording_evaluate)
+            result = mine_extend(db, cfg, shadow=shadow)
+        assert set(shadow.cuts) == cuts
+        assert evaluated == [
+            q
+            for q in candidates
+            if not any(
+                q[: len(prefix)] == prefix and is_subsequence(q[len(prefix) :], residual)
+                for prefix, residual in cuts
+            )
+        ]
+        assert result.as_set() == mine_baseline(db, cfg).as_set()
 
 
 class TestSubtreeCutSafety:
