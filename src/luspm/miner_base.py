@@ -3,13 +3,23 @@
 The baseline enumerates every distinct subsequence of every database sequence
 and keeps those with positive utility at most the threshold. It applies no
 pruning and serves as the ground-truth oracle for the other miners.
+
+It sweeps each sequence once with a dynamic program over the sequence's
+distinct subsequences rather than over its position subsets: every pattern
+seen so far carries its utility sum and embedding count, and a position
+holding item ``x`` extends each of them by ``x``, adding the pattern's
+embedding count times the position's utility. The sums are exact (``int`` or
+``Fraction``) and cover every embedding, so the result is the exhaustive one,
+at a cost set by the number of distinct subsequences: n copies of one item
+take about n²/2 steps over n patterns, not 2^n position subsets. The program
+shares no code with the chain layer the other miners search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, floor, inf
 
 from .errors import CandidateCapExceeded
 from .occurrence import UtilityCounter
@@ -85,41 +95,68 @@ def enumerate_all_subsequences(
 
 
 def _aggregate_candidates(db, max_len, cap):
-    """Sweep every position subset of every sequence once, accumulating
-    (utility sum, embedding count) per distinct pattern.
+    """(utility sum, embedding count) of every distinct pattern of length at
+    most ``max_len``, over every embedding in every sequence.
 
-    Each non-empty subset of positions is exactly one embedding of its induced
-    pattern, so the per-pattern totals are the true utility and support.
+    Each sequence is swept once, left to right, keeping the totals of the
+    patterns of the positions seen so far. The embeddings of ``p + (x,)``
+    that end at a position holding ``x`` with utility ``u`` are ``p``'s
+    earlier embeddings, each extended by that position, so ``p``'s
+    ``(ut, cnt)`` adds ``(ut + cnt * u, cnt)`` to ``p + (x,)``, and ``(x,)``
+    gains ``(u, 1)``. The sequence's totals are then added to the database's.
+    Every embedding is counted once, in the totals of the pattern it
+    induces, so the sums are the exact utility and support: repeated
+    embeddings are summed rather than listed, and nothing is pruned.
+
+    ``CandidateCapExceeded`` is raised exactly when more than ``cap`` distinct
+    patterns exist. One sequence's patterns never outnumber the union after
+    its merge, so checking them as they appear raises no earlier, and keeps a
+    single long sequence from growing unbounded before its merge.
     """
-    acc: dict[Pattern, list] = {}
+    limit = inf if cap is None else cap
+    longest = inf if max_len is None else max_len
+    acc: dict[Pattern, tuple] = {}
     for seq in db.sequences:
-        items = seq.items
-        utils = db.sequence_utilities(seq)
-        n = len(items)
-        limit = n if max_len is None else min(n, max_len)
-        prefix: list[int] = []
-
-        def descend(start: int, usum) -> None:
-            for j in range(start, n):
-                prefix.append(items[j])
-                u = usum + utils[j]
-                key = tuple(prefix)
-                entry = acc.get(key)
-                if entry is None:
-                    if cap is not None and len(acc) >= cap:
-                        raise CandidateCapExceeded(
-                            f"more than {cap} distinct candidates"
-                        )
-                    acc[key] = [u, 1]
-                else:
-                    entry[0] += u
-                    entry[1] += 1
-                if len(prefix) < limit:
-                    descend(j + 1, u)
-                prefix.pop()
-
-        descend(0, 0)
+        local: dict[Pattern, tuple] = {}
+        get = local.get
+        for x, u in zip(seq.items, db.sequence_utilities(seq)):
+            # Only the patterns from before this position are extended: the
+            # key list is taken first. ``p + (x,)`` was created by extending
+            # ``p``, so it comes after ``p`` in insertion order, and walking
+            # that order backwards reads each pattern's totals before this
+            # position adds to them.
+            for p in reversed(list(local)):
+                if len(p) < longest:
+                    ut, cnt = local[p]
+                    key = p + (x,)
+                    entry = get(key)
+                    if entry is None:
+                        if len(local) >= limit:
+                            raise _cap_exceeded(cap)
+                        local[key] = (ut + cnt * u, cnt)
+                    else:
+                        local[key] = (entry[0] + ut + cnt * u, entry[1] + cnt)
+            key = (x,)
+            entry = get(key)
+            if entry is None:
+                if len(local) >= limit:
+                    raise _cap_exceeded(cap)
+                local[key] = (u, 1)
+            else:
+                local[key] = (entry[0] + u, entry[1] + 1)
+        # Merge the smaller dict into the larger.
+        if len(local) > len(acc):
+            acc, local = local, acc
+        for p, (ut, cnt) in local.items():
+            entry = acc.get(p)
+            acc[p] = (ut, cnt) if entry is None else (entry[0] + ut, entry[1] + cnt)
+        if len(acc) > limit:
+            raise _cap_exceeded(cap)
     return acc
+
+
+def _cap_exceeded(cap: int) -> CandidateCapExceeded:
+    return CandidateCapExceeded(f"more than {cap} distinct candidates")
 
 
 def mine_baseline(
@@ -134,10 +171,15 @@ def mine_baseline(
     acc = _aggregate_candidates(db, cfg.max_len, cap)
     if counter is not None:
         counter.increment(len(acc))
+    # An int utility is at most ``min_util`` exactly when it is at most its
+    # floor, which spares a ``Fraction`` comparison per candidate under a
+    # sigma threshold; any other utility is compared with ``min_util`` itself.
+    whole = floor(min_util)
     records = [
         LuspRecord(pattern, utility, sup)
         for pattern, (utility, sup) in acc.items()
-        if 0 < utility <= min_util
+        if 0 < utility
+        and (utility <= whole if type(utility) is int else utility <= min_util)
     ]
     return LuspResult.from_records(records, min_util, cfg.max_len)
 

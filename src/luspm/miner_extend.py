@@ -162,7 +162,10 @@ class _ExtendMiner:
 
     def _admit_all(self, s: Pattern, p: int) -> None:
         """Row-free regime at cursor ``p``: admit every ``s[:p] + r``, in
-        ``_extension``'s order, once per ``(s, p)``."""
+        ``_extension``'s order, once per ``(s, p)``. Each of those is longer
+        than ``p``, so at ``p >= max_len`` there is nothing to admit."""
+        if self.max_len is not None and p >= self.max_len:
+            return
         if not first_visit(self._expanded, s, p):
             return
         if p + 1 < len(s):

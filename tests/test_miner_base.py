@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import random
+import time
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luspm import (
     CandidateCapExceeded,
+    ExternalUtilityTable,
     LuspRecord,
     LuspResult,
     MiningConfig,
+    QItem,
+    QSequence,
+    QSequenceDatabase,
     UtilityCounter,
     compute_utility,
     enumerate_all_subsequences,
@@ -21,6 +31,32 @@ from luspm import (
 )
 
 from conftest import random_database
+
+
+def _subset_sweep(db, max_len=None):
+    """Pattern -> [utility, embedding count], summed over every position
+    subset of every sequence, each subset being one embedding."""
+    totals = {}
+    for seq in db.sequences:
+        items, utils = seq.items, db.sequence_utilities(seq)
+        longest = len(items) if max_len is None else min(len(items), max_len)
+        for k in range(1, longest + 1):
+            for positions in combinations(range(len(items)), k):
+                entry = totals.setdefault(tuple(items[i] for i in positions), [0, 0])
+                entry[0] += sum(utils[i] for i in positions)
+                entry[1] += 1
+    return totals
+
+
+def _low_utility(totals, min_util):
+    return {(p, u, n) for p, (u, n) in totals.items() if 0 < u <= min_util}
+
+
+def _fractional(db, seed):
+    """``db`` with a random ``Fraction`` external utility per item."""
+    rng = random.Random(seed)
+    table = {i: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for i in db.utilities.values}
+    return QSequenceDatabase(db.sequences, ExternalUtilityTable(table))
 
 
 class TestLuspResult:
@@ -92,6 +128,84 @@ class TestMineBaseline:
         result = mine_baseline(db, MiningConfig(min_util=15))
         for r in result.records:
             assert support(r.pattern, db) == r.support
+
+
+class TestAgainstSubsetSweep:
+    """The baseline against a brute-force sweep of every position subset."""
+
+    def test_random_databases(self):
+        for seed in range(200):
+            db = random_database(seed)
+            min_util = random.Random(seed).choice([3, 8, 20, 60, 10**6])
+            for max_len in (None, 1, 2, 3):
+                totals = _subset_sweep(db, max_len)
+                cfg = MiningConfig(min_util=min_util, max_len=max_len)
+                counter = UtilityCounter()
+                result = mine_baseline(db, cfg, counter)
+                assert result.as_set() == _low_utility(totals, min_util), (seed, max_len)
+                assert counter.count == len(totals)
+                assert enumerate_all_subsequences(db, max_len) == set(totals)
+
+    def test_fractional_utilities(self):
+        for seed in range(20):
+            db = _fractional(random_database(seed), seed)
+            min_util = Fraction(31, 2)
+            for max_len in (None, 2):
+                totals = _subset_sweep(db, max_len)
+                result = mine_baseline(db, MiningConfig(min_util=min_util, max_len=max_len))
+                assert result.as_set() == _low_utility(totals, min_util), (seed, max_len)
+
+    def test_sigma_threshold(self):
+        # A fractional threshold over integer utilities.
+        for seed in range(20):
+            db = random_database(seed)
+            cfg = MiningConfig(sigma=Fraction(1, 7))
+            result = mine_baseline(db, cfg)
+            assert result.as_set() == _low_utility(_subset_sweep(db), result.min_util)
+
+    def test_copies_of_one_item(self):
+        # a^k embeds once per k-subset of the n positions, and each position
+        # lies in C(n-1, k-1) of them.
+        n = 14
+        quantities = [1 + j % 3 for j in range(n)]
+        seq = QSequence(0, tuple(QItem(5, q) for q in quantities))
+        db = QSequenceDatabase((seq,), ExternalUtilityTable({5: 2}))
+        result = mine_baseline(db, MiningConfig(min_util=10**9))
+        expected = {
+            ((5,) * k, sum(2 * q for q in quantities) * comb(n - 1, k - 1), comb(n, k))
+            for k in range(1, n + 1)
+        }
+        assert result.as_set() == expected
+
+
+class TestCandidateCap:
+    def test_cap_at_the_distinct_count(self, ref_db):
+        # The sequences share subsequences, and each alone holds fewer than
+        # count - 1, so only the union can exceed the cap.
+        for max_len in (None, 2):
+            count = len(enumerate_all_subsequences(ref_db, max_len, cap=None))
+            for seq in ref_db.sequences:
+                single = QSequenceDatabase((seq,), ref_db.utilities)
+                assert len(enumerate_all_subsequences(single, max_len)) < count - 1
+            cfg = MiningConfig(min_util=20, max_len=max_len)
+            assert len(enumerate_all_subsequences(ref_db, max_len, cap=count)) == count
+            mine_baseline(ref_db, cfg, cap=count)
+            with pytest.raises(CandidateCapExceeded):
+                enumerate_all_subsequences(ref_db, max_len, cap=count - 1)
+            with pytest.raises(CandidateCapExceeded):
+                mine_baseline(ref_db, cfg, cap=count - 1)
+
+    @pytest.mark.parametrize("items", [range(1, 41), [1, 2] * 20])
+    def test_long_sequence_fails_fast(self, items):
+        # 2^40 - 1 distinct subsequences of 40 distinct items, over 10^8 of
+        # two alternating ones, where no position adds a new singleton: the
+        # cap must stop the sweep of the one sequence, not wait for its end.
+        seq = QSequence(0, tuple(QItem(i, 1) for i in items))
+        db = QSequenceDatabase((seq,), ExternalUtilityTable.uniform(set(items)))
+        started = time.perf_counter()
+        with pytest.raises(CandidateCapExceeded):
+            mine_baseline(db, MiningConfig(min_util=10), cap=1000)
+        assert time.perf_counter() - started < 1
 
 
 class TestEstimate:

@@ -240,6 +240,21 @@ class TestAdmission:
         assert shadow.cuts
         assert result.as_set() == mine_baseline(db, cfg).as_set()
 
+    def test_length_cap_stops_the_row_free_walk(self, monkeypatch):
+        # Below cursor p every admitted pattern is longer than p, so the walk
+        # expands no node at p >= max_len; the rows regime, and with it every
+        # cut, is the uncapped run's.
+        db = generate_synthetic(30, 4, 13, 14, 5, 5, seed=7)
+        _, uncapped = self._mine(monkeypatch, db, MiningConfig(min_util=8))
+        assert uncapped["expansions"] > 0
+        for max_len in (1, 2, 3):
+            cfg = MiningConfig(min_util=8, max_len=max_len)
+            result, count = self._mine(monkeypatch, db, cfg)
+            assert count["expansions"] < uncapped["expansions"]
+            assert count["restrict_rows"] == uncapped["restrict_rows"]
+            assert count["column_bound"] == uncapped["column_bound"]
+            assert result.as_set() == mine_baseline(db, cfg).as_set()
+
     @pytest.mark.parametrize(
         "db, min_util, max_len",
         [(random_database(seed), [3, 6, 12, 25][seed % 4], [None, 2][seed % 5 == 0])
