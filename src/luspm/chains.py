@@ -18,13 +18,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Sequence
 
-from .occurrence import (
-    BitIndex,
-    SUChain,
-    UtilityCounter,
-    enumerate_embeddings,
-    is_subsequence,
-)
+from .occurrence import BitIndex, SUChain, UtilityCounter, enumerate_embeddings
 from .seqdb import Pattern, QSequenceDatabase
 
 # (sid, matched positions, per-position utilities)
@@ -84,6 +78,11 @@ def prefix_bounds(rows: TaggedRows, p: int, width: int) -> list:
     own set of the distinct (sid, prefix positions, position ``i``) it has
     summed, so every bound is deduplicated exactly as ``column_bound``'s.
     """
+    if len(rows) == 1:
+        # Most calls carry one row, and one row cannot collapse.
+        util = rows[0][2]
+        head_sum = sum(util[:p])
+        return [head_sum + u for u in util[p:width]]
     totals = [0] * (width - p)
     seen: list[set] = [set() for _ in totals]
     for sid, pos, util in rows:
@@ -121,9 +120,8 @@ class ChainStore:
         self.max_embeddings = max_embeddings
         self._memo: dict[Pattern, TaggedRows] = {}
         self._totals: dict[Pattern, tuple] = {}
-        # Per-sequence items, and the per-position utilities of each sequence
-        # a build has matched, by index into ``db.sequences``.
-        self._items = [seq.items for seq in db.sequences]
+        # The per-position utilities of each sequence a build has matched, by
+        # index into ``db.sequences``.
         self._utils: dict[int, tuple] = {}
 
     def tagged(self, pattern: Pattern) -> TaggedRows:
@@ -152,16 +150,16 @@ class ChainStore:
         rows: list[TaggedRow] = []
         sequences = self.db.sequences
         for k in self._holders(pattern):
-            items = self._items[k]
-            if len(items) < len(pattern) or not is_subsequence(pattern, items):
-                continue
             seq = sequences[k]
+            embeddings = enumerate_embeddings(
+                pattern, seq, self.index, self.max_embeddings
+            )
+            if not embeddings:
+                continue
             utils = self._utils.get(k)
             if utils is None:
                 utils = self._utils[k] = self.db.sequence_utilities(seq)
-            for pos in enumerate_embeddings(
-                pattern, seq, self.index, self.max_embeddings
-            ):
+            for pos in embeddings:
                 rows.append((seq.sid, pos, tuple(map(utils.__getitem__, pos))))
         if self.counter is not None:
             self.counter.increment()
@@ -169,14 +167,20 @@ class ChainStore:
 
     def _holders(self, pattern: Pattern):
         """Ascending indices into ``db.sequences`` of the sequences that hold
-        every item of the pattern, or of all sequences when the store has no
-        index."""
+        at least as many copies of each item as the pattern, or of all
+        sequences when the store has no index. Such a sequence is at least as
+        long as the pattern."""
         if self.index is None:
             return range(len(self.db.sequences))
         masks = self.index.masks
         mask = (1 << len(self.db.sequences)) - 1
-        for item in set(pattern):
-            mask &= masks.get(item, 0)
+        items = set(pattern)
+        # Counting copies pays only when the pattern repeats an item.
+        repeats = len(items) < len(pattern)
+        for item in items:
+            at_least = masks.get(item, ())
+            copies = pattern.count(item) if repeats else 1
+            mask &= at_least[copies - 1] if copies <= len(at_least) else 0
         # Bit k of the mask is character k of the reversed binary string.
         bits = bin(mask)[:1:-1]
         holders = []

@@ -13,7 +13,15 @@ most that total: the bounds are monotone down the tree.
 
 - Above the threshold (``_extension``), the node carries its rows, computes
   each prefix bound and cuts where one exceeds the threshold. This regime
-  alone makes cuts; it is not memoized.
+  alone makes cuts; it is not memoized. Most such nodes carry one row, and
+  one row cannot collapse under restriction: the restricted row is the
+  row's utility tuple with the dropped entries removed. So a one-row node
+  (``_extension_row``) carries only that tuple, its total and the running
+  sum ``head`` of its entries before the cursor. Dropping position ``p``
+  takes ``u[p]`` off the total and out of the tuple; appending it gives the
+  prefix bound ``head + u[p]``. These are the values the kernels compute on
+  the row, exactly, so the walk makes the same cuts and admissions. A
+  multi-row node hands off to it once a restriction leaves one row.
 - Within the threshold (``_admit_all``), no bound below the node can exceed
   the threshold, so the subtree makes no cut and admits every ``s[:p] + r``,
   ``r`` a non-empty subsequence of ``s[p:]``. The walk keeps the rows
@@ -86,11 +94,7 @@ class _ExtendMiner:
         try:
             for root in roots:
                 rows = self.store.tagged(root)
-                total = rows_total(rows)
-                if total <= self.threshold:
-                    self._admit_all(root, 0)
-                else:
-                    self._extension(root, rows, 0, total)
+                self._descend(root, rows, 0, rows_total(rows))
         finally:
             sys.setrecursionlimit(limit)
         records = []
@@ -103,9 +107,6 @@ class _ExtendMiner:
             if utility <= self.threshold:
                 records.append(LuspRecord(q, utility, support))
         return LuspResult.from_records(records, self.min_util, self.max_len)
-
-    def _len_ok(self, pattern: Pattern) -> bool:
-        return self.max_len is None or len(pattern) <= self.max_len
 
     def _in_cut_subtree(self, q: Pattern) -> bool:
         """Whether some cut (P, R) covers ``q``: ``q = P + r`` with ``r`` a
@@ -120,44 +121,68 @@ class _ExtendMiner:
                     return True
         return False
 
+    def _descend(self, s: Pattern, rows: TaggedRows, p: int, total) -> None:
+        """Search below cursor ``p`` of ``s`` in the regime its carried
+        ``rows``, which sum to ``total``, call for."""
+        if total <= self.threshold:
+            self._admit_all(s, p)
+        elif len(rows) == 1:
+            util = rows[0][2]
+            self._extension_row(s, util, p, total, sum(util[:p]))
+        else:
+            self._extension(s, rows, p, total)
+
     def _extension(self, s: Pattern, rows: TaggedRows, p: int, total) -> None:
-        """Rows regime at cursor ``p``; ``total`` is ``rows_total(rows)``,
-        above the threshold."""
+        """Rows regime at cursor ``p`` for two or more carried rows;
+        ``total`` is ``rows_total(rows)``, above the threshold."""
         if p + 1 < len(s):
             # Drop the cursor position for the whole subtree.
-            t = s[:p] + s[p + 1 :]
-            keep = [*range(p), *range(p + 1, len(s))]
-            if len(rows) == 1:
-                # One row cannot collapse, so the child's total is known
-                # without restricting, and an admitted child needs no rows.
-                child = None
-                child_total = total - rows[0][2][p]
-            else:
-                child = restrict_rows(rows, keep)
-                child_total = rows_total(child)
-            if child_total <= self.threshold:
-                self._admit_all(t, p)
-            else:
-                if child is None:
-                    child = restrict_rows(rows, keep)
-                self._extension(t, child, p, child_total)
+            child = restrict_rows(rows, [*range(p), *range(p + 1, len(s))])
+            self._descend(s[:p] + s[p + 1 :], child, p, rows_total(child))
         # Append it to the accumulated prefix.
-        lbs = column_bound(rows, range(p + 1))
-        if lbs > self.threshold:
-            prefix, residual = s[: p + 1], s[p + 1 :]
-            # Other drop orders and roots repeat a cut; each prefix's residuals
-            # are kept sorted and distinct, so a repeat is found by bisection.
-            residuals = self._cuts.setdefault(prefix, [])
-            i = bisect_left(residuals, residual)
-            if i == len(residuals) or residuals[i] != residual:
-                residuals.insert(i, residual)
-            if self.shadow is not None:
-                self.shadow.ebisps_cut(prefix, residual)
+        if column_bound(rows, range(p + 1)) > self.threshold:
+            self._cut(s, p)
             return
         if p + 1 < len(s):
             self._extension(s, rows, p + 1, total)
-        q = s[: p + 1]
-        if self._len_ok(q):
+        self._admit(s[: p + 1])
+
+    def _extension_row(self, s: Pattern, util: tuple, p: int, total, head) -> None:
+        """Rows regime at cursor ``p`` for one carried row with utilities
+        ``util``, whose sum ``total`` is above the threshold and whose first
+        ``p`` entries sum to ``head``. One row cannot collapse under
+        restriction, so dropping position ``p`` takes ``util[p]`` off the
+        total and appending it adds ``util[p]`` to the prefix bound."""
+        if p + 1 < len(s):
+            t = s[:p] + s[p + 1 :]
+            child_total = total - util[p]
+            if child_total <= self.threshold:
+                self._admit_all(t, p)
+            else:
+                self._extension_row(t, util[:p] + util[p + 1 :], p, child_total, head)
+        bound = head + util[p]
+        if bound > self.threshold:
+            self._cut(s, p)
+            return
+        if p + 1 < len(s):
+            self._extension_row(s, util, p + 1, total, bound)
+        self._admit(s[: p + 1])
+
+    def _cut(self, s: Pattern, p: int) -> None:
+        """Record that the prefix ``s[:p + 1]`` bounds out its subtree, every
+        subsequence of the residual ``s[p + 1:]`` appended to it."""
+        prefix, residual = s[: p + 1], s[p + 1 :]
+        # Other drop orders and roots repeat a cut; each prefix's residuals
+        # are kept sorted and distinct, so a repeat is found by bisection.
+        residuals = self._cuts.setdefault(prefix, [])
+        i = bisect_left(residuals, residual)
+        if i == len(residuals) or residuals[i] != residual:
+            residuals.insert(i, residual)
+        if self.shadow is not None:
+            self.shadow.ebisps_cut(prefix, residual)
+
+    def _admit(self, q: Pattern) -> None:
+        if self.max_len is None or len(q) <= self.max_len:
             self._candidates[q] = None
 
     def _admit_all(self, s: Pattern, p: int) -> None:
@@ -171,9 +196,7 @@ class _ExtendMiner:
         if p + 1 < len(s):
             self._admit_all(s[:p] + s[p + 1 :], p)
             self._admit_all(s, p + 1)
-        q = s[: p + 1]
-        if self._len_ok(q):
-            self._candidates[q] = None
+        self._admit(s[: p + 1])
 
 
 def mine_extend(

@@ -56,47 +56,64 @@ class UtilityCounter:
 
 @dataclass(frozen=True)
 class BitIndex:
-    """Per-sequence position lists and per-item sequence masks.
+    """Per-sequence items and position lists, and per-item sequence masks by
+    copy count.
 
-    ``positions[sid][item]`` holds, in increasing order, the positions of that
-    sequence that hold the item. Bit ``k`` of ``masks[item]`` is set when
-    ``db.sequences[k]`` holds the item (a vertical bitmap, as in SPAM), so
-    the sequences that hold every item of a pattern are the AND of its
-    items' masks. The masks are indexed by position in ``db.sequences``, so
-    an index is valid only for the database it was built from. Purely an
-    accelerator: every result must be identical with ``index=None``.
+    ``items[sid]`` is that sequence's items, and ``positions[sid][item]``
+    holds, in increasing order, the positions of that sequence that hold the
+    item. Bit ``k`` of ``masks[item][c - 1]`` is set when
+    ``db.sequences[k]`` holds ``c`` or more copies of the item (a vertical
+    bitmap, as in SPAM), so the sequences that can hold a pattern are the
+    AND, over its items, of the mask for the number of copies the pattern
+    has. The masks are indexed by position in ``db.sequences``, so an index
+    is valid only for the database it was built from. Purely an accelerator:
+    every result must be identical with ``index=None``.
     """
 
     positions: dict[int, dict[int, tuple[int, ...]]]
-    masks: dict[int, int]
+    masks: dict[int, tuple[int, ...]]
+    items: dict[int, Pattern]
 
-    def item_positions(self, seq: QSequence, item: int) -> tuple[int, ...]:
-        return self.positions[seq.sid].get(item, ())
+
+def _item_positions(items: Pattern) -> dict[int, tuple[int, ...]]:
+    where: dict[int, list[int]] = {}
+    for j, item in enumerate(items):
+        where.setdefault(item, []).append(j)
+    return {item: tuple(v) for item, v in where.items()}
 
 
 def build_bit_index(db: QSequenceDatabase) -> BitIndex:
     positions: dict[int, dict[int, tuple[int, ...]]] = {}
-    masks: dict[int, int] = {}
+    items: dict[int, Pattern] = {}
+    # item -> copy count -> mask of the sequences holding exactly that many
+    exact: dict[int, dict[int, int]] = {}
     for k, seq in enumerate(db.sequences):
-        p: dict[int, list[int]] = {}
-        for j, e in enumerate(seq.elements):
-            p.setdefault(e.item, []).append(j)
-        positions[seq.sid] = {item: tuple(v) for item, v in p.items()}
-        for item in p:
-            masks[item] = masks.get(item, 0) | 1 << k
-    return BitIndex(positions, masks)
+        seq_items = items[seq.sid] = seq.items
+        where = positions[seq.sid] = _item_positions(seq_items)
+        bit = 1 << k
+        for item, pl in where.items():
+            by_count = exact.setdefault(item, {})
+            copies = len(pl)
+            by_count[copies] = by_count.get(copies, 0) | bit
+    masks: dict[int, tuple[int, ...]] = {}
+    for item, by_count in exact.items():
+        # A count no sequence holds shares the next count's mask object, so
+        # a long run of copies in one sequence costs a tuple slot per copy,
+        # not a mask per copy.
+        at_least = [0] * max(by_count)
+        mask = 0
+        for c in range(len(at_least), 0, -1):
+            if c in by_count:
+                mask |= by_count[c]
+            at_least[c - 1] = mask
+        masks[item] = tuple(at_least)
+    return BitIndex(positions, masks, items)
 
 
 def is_subsequence(shorter: Pattern, longer: Pattern) -> bool:
     """Greedy left-to-right containment check (order-preserving)."""
     it = iter(longer)
     return all(item in it for item in shorter)
-
-
-def _positions_of(seq: QSequence, item: int, index: BitIndex | None) -> tuple[int, ...]:
-    if index is not None:
-        return index.item_positions(seq, item)
-    return tuple(j for j, e in enumerate(seq.elements) if e.item == item)
 
 
 def enumerate_embeddings(
@@ -107,33 +124,61 @@ def enumerate_embeddings(
 ) -> list[tuple[int, ...]]:
     """All embeddings of the pattern in the sequence, in lexicographic order:
     each is the tuple of strictly increasing positions matched, one per
-    pattern element.
+    pattern element. Empty when the sequence does not hold the pattern.
 
-    Built one pattern position at a time, without recursion, so the pattern
-    length is not limited by the interpreter's recursion limit.
+    The leftmost greedy match is found first, by C-level ``tuple.index``
+    calls; without one the sequence does not hold the pattern. Every
+    embedding's ``d``-th position lies between the ``d``-th positions of the
+    leftmost and the rightmost greedy match, so when the two are equal the
+    embedding is unique. Otherwise the embeddings are built one pattern
+    position at a time, without recursion, from the positions between them.
     """
     if not pattern:
         raise ValueError("pattern must be non-empty")
-    pos_lists = [_positions_of(seq, item, index) for item in pattern]
-    # Keep only positions that the rest of the pattern can still follow, so
-    # every partial embedding below completes and no level outnumbers the
-    # result: a cap breach shows at the first level that exceeds the cap.
-    limit = len(seq)
-    for depth in range(len(pattern) - 1, -1, -1):
-        pl = pos_lists[depth][: bisect_left(pos_lists[depth], limit)]
-        if not pl:
-            return []
-        pos_lists[depth] = pl
-        limit = pl[-1]
-    level = [()]
-    for pl in pos_lists:
-        # Position lists are sorted: an extension starts past the last match.
-        level = [h + (pos,) for h in level for pos in pl[bisect_right(pl, h[-1]) if h else 0 :]]
-        if max_embeddings is not None and len(level) > max_embeddings:
-            raise EmbeddingCapExceeded(
-                f"pattern {pattern} exceeds {max_embeddings} embeddings in sid {seq.sid}"
-            )
-    return level
+    if index is not None:
+        items = index.items[seq.sid]
+        where = index.positions[seq.sid]
+    else:
+        items = seq.items
+        where = _item_positions(items)
+    left = []
+    j = -1
+    find = items.index
+    try:
+        for item in pattern:
+            j = find(item, j + 1)
+            left.append(j)
+    except ValueError:
+        return []
+    right = []
+    j = len(items)
+    for item in reversed(pattern):
+        pl = where[item]
+        j = pl[bisect_left(pl, j) - 1]
+        right.append(j)
+    right.reverse()
+    if left == right:
+        embeddings = [tuple(left)]
+    else:
+        # Each position between the two matches is followed by the rightmost
+        # match's next one, so every partial embedding below completes and
+        # no level outnumbers the result: a cap breach shows at the first
+        # level that exceeds the cap.
+        embeddings = [()]
+        for item, lo, hi in zip(pattern, left, right):
+            pl = where[item]
+            pl = pl[bisect_left(pl, lo) : bisect_right(pl, hi)]
+            # An extension starts past the last match.
+            embeddings = [
+                h + (pos,) for h in embeddings for pos in pl[bisect_right(pl, h[-1]) if h else 0 :]
+            ]
+            if max_embeddings is not None and len(embeddings) > max_embeddings:
+                break
+    if max_embeddings is not None and len(embeddings) > max_embeddings:
+        raise EmbeddingCapExceeded(
+            f"pattern {pattern} exceeds {max_embeddings} embeddings in sid {seq.sid}"
+        )
+    return embeddings
 
 
 def compute_utility(chain: SUChain, prefix_len: int | None = None):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luspm import (
+    EmbeddingCapExceeded,
     ExternalUtilityTable,
     MiningConfig,
     QSequenceDatabase,
@@ -200,6 +203,48 @@ class TestPrefixBounds:
     def test_no_rows_bound_to_zero(self):
         assert prefix_bounds((), 1, 4) == [0, 0, 0]
 
+    def test_one_row_equals_column_bound_for_every_prefix(self):
+        # One row takes the fast path: each bound is a prefix sum plus one
+        # entry, in int and in Fraction utilities alike.
+        rng = random.Random(1)
+        for width in range(1, 7):
+            pos = tuple(sorted(rng.sample(range(12), width)))
+            for util in (
+                tuple(rng.randint(1, 9) for _ in pos),
+                tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in pos),
+            ):
+                rows = ((3, pos, util),)
+                for p in range(width):
+                    bounds = prefix_bounds(rows, p, width)
+                    assert bounds == [
+                        column_bound(rows, [*range(p), i]) for i in range(p, width)
+                    ]
+
+
+def _reference_rows(db, pattern) -> tuple:
+    """Every embedding of the pattern, from every position subset of every
+    sequence, in sequence then lexicographic order."""
+    rows = []
+    for seq in db.sequences:
+        utils = db.sequence_utilities(seq)
+        for pos in combinations(range(len(seq)), len(pattern)):
+            if tuple(seq.items[j] for j in pos) == pattern:
+                rows.append((seq.sid, pos, tuple(utils[j] for j in pos)))
+    return tuple(rows)
+
+
+def _recorded_scans(monkeypatch) -> list:
+    """Record the (pattern, items) of every sequence a build scans."""
+    visited = []
+    embed = chains.enumerate_embeddings
+
+    def enumerate_embeddings(pattern, seq, *args):
+        visited.append((pattern, seq.items))
+        return embed(pattern, seq, *args)
+
+    monkeypatch.setattr(chains, "enumerate_embeddings", enumerate_embeddings)
+    return visited
+
 
 class TestScan:
     def test_build_visits_only_sequences_that_can_hold_the_pattern(
@@ -219,20 +264,7 @@ class TestScan:
         patterns.append((1, 2, 3, 4, 5, 6))
         expected = {p: ChainStore(db, None).tagged(p) for p in patterns}
 
-        visited = []
-        embed = chains.enumerate_embeddings
-        subsequence = chains.is_subsequence
-
-        def enumerate_embeddings(pattern, seq, *args):
-            visited.append((pattern, seq.items))
-            return embed(pattern, seq, *args)
-
-        def is_subsequence(pattern, items):
-            visited.append((pattern, items))
-            return subsequence(pattern, items)
-
-        monkeypatch.setattr(chains, "enumerate_embeddings", enumerate_embeddings)
-        monkeypatch.setattr(chains, "is_subsequence", is_subsequence)
+        visited = _recorded_scans(monkeypatch)
         store = _store(db)
         for p in patterns:
             assert store.tagged(p) == expected[p]
@@ -242,3 +274,67 @@ class TestScan:
             assert len(items) >= len(pattern)
         # Most sequences hold few of 30 items: the scan skips them unread.
         assert len(visited) < len(patterns) * len(db) // 4
+
+    def test_build_skips_sequences_with_too_few_copies(self, monkeypatch):
+        # Four items over sequences of 6-12 positions: most sequences hold
+        # every item, but fewer copies of it than a repeating pattern has.
+        db = generate_synthetic(80, 4, 6, 12, 5, 5, seed=3)
+        rng = random.Random(3)
+        patterns = [(item,) * n for item in range(1, 5) for n in (1, 2, 3, 5, 8)]
+        patterns += [(1, 2, 1, 2), (3, 3, 4, 3), (1, 2, 3, 4), (2, 2, 2, 2, 2, 2, 1)]
+        for _ in range(30):
+            patterns.append(tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 7))))
+        expected = {p: ChainStore(db, None).tagged(p) for p in patterns}
+
+        visited = _recorded_scans(monkeypatch)
+        store = _store(db)
+        for p in patterns:
+            assert store.tagged(p) == expected[p]
+        for pattern, items in visited:
+            assert all(items.count(x) >= pattern.count(x) for x in pattern)
+        # The item masks alone would admit these; the copy counts skip them.
+        skipped = [
+            (p, seq.items)
+            for p in patterns
+            for seq in db.sequences
+            if set(p) <= set(seq.items)
+            and any(seq.items.count(x) < p.count(x) for x in p)
+        ]
+        assert len(skipped) > len(visited) // 2
+        assert not set(skipped) & set(visited)
+
+    def test_rows_equal_a_combinations_reference(self):
+        # Alphabets of 1-3 items repeat items; odd seeds use Fraction
+        # utilities. Item 9 is in no sequence, and patterns run longer than
+        # the longest sequence. At a cap of the most embeddings any one
+        # sequence has, the build succeeds; one below, it raises.
+        absent = longer = unique = several = 0
+        for seed in range(80):
+            rng = random.Random(seed)
+            db = generate_synthetic(rng.randint(1, 5), rng.randint(1, 3), 1, 8, 4, 4, seed)
+            if seed % 2:
+                thirds = {i: Fraction(v, 3) for i, v in db.utilities.values.items()}
+                db = QSequenceDatabase(db.sequences, ExternalUtilityTable(thirds))
+            alphabet = sorted(db.utilities.values) + [9]
+            patterns = {
+                tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+                for _ in range(25)
+            }
+            for seq in db.sequences:
+                k = rng.randint(1, len(seq))
+                patterns.add(tuple(seq.items[j] for j in sorted(rng.sample(range(len(seq)), k))))
+            index = build_bit_index(db)
+            for p in sorted(patterns):
+                expected = _reference_rows(db, p)
+                assert ChainStore(db, index).tagged(p) == expected
+                assert ChainStore(db, None).tagged(p) == expected
+                absent += not expected
+                longer += len(p) > max(len(seq) for seq in db.sequences)
+                cap = max(sum(sid == seq.sid for sid, _, _ in expected) for seq in db.sequences)
+                assert ChainStore(db, index, max_embeddings=cap).tagged(p) == expected
+                if cap:
+                    with pytest.raises(EmbeddingCapExceeded):
+                        ChainStore(db, index, max_embeddings=cap - 1).tagged(p)
+                unique += cap == 1
+                several += cap > 1
+        assert absent and longer and unique and several

@@ -230,15 +230,24 @@ class TestAdmission:
     def test_repeated_item_below_a_cutting_threshold(self, monkeypatch):
         # Long prefixes of the root exceed 12 and are cut by the rows regime;
         # dropping positions brings subtrees within 12, which are admitted.
+        # One sequence gives a one-row root, walked by prefix sums without a
+        # kernel call; two equal sequences give a two-row root, whose
+        # restrictions and bounds go through the kernels.
         n = 12
-        db = _copies(n)
+        one = _copies(n)
+        seq = one.sequences[0]
+        two = QSequenceDatabase((seq, QSequence(1, seq.elements)), one.utilities)
         cfg = MiningConfig(min_util=12)
-        shadow = CutRecordingShadow()
-        result, count = self._mine(monkeypatch, db, cfg, shadow)
-        assert count["restrict_rows"] > 0 and count["column_bound"] > 0
-        assert count["expansions"] > 0
-        assert shadow.cuts
-        assert result.as_set() == mine_baseline(db, cfg).as_set()
+        for db in (one, two):
+            shadow = CutRecordingShadow()
+            result, count = self._mine(monkeypatch, db, cfg, shadow)
+            if db is one:
+                assert count["restrict_rows"] == count["column_bound"] == 0
+            else:
+                assert count["restrict_rows"] > 0 and count["column_bound"] > 0
+            assert count["expansions"] > 0
+            assert shadow.cuts
+            assert result.as_set() == mine_baseline(db, cfg).as_set()
 
     def test_length_cap_stops_the_row_free_walk(self, monkeypatch):
         # Below cursor p every admitted pattern is longer than p, so the walk
@@ -254,6 +263,28 @@ class TestAdmission:
             assert count["restrict_rows"] == uncapped["restrict_rows"]
             assert count["column_bound"] == uncapped["column_bound"]
             assert result.as_set() == mine_baseline(db, cfg).as_set()
+
+    def test_one_row_walk_takes_over_after_a_collapse(self, monkeypatch):
+        # The first 2 of (1, 2, 2, 3) is above the threshold, so the root is
+        # (1, 2, 3), which embeds twice. Dropping its 2 at cursor 1 collapses
+        # both rows onto one, (3, 3), and the one-row walk that takes over
+        # must start from the prefix sum 3: it cuts (1, 3) at 6.
+        elements = tuple(QItem(i, q) for i, q in ((1, 3), (2, 5), (2, 1), (3, 3)))
+        db = QSequenceDatabase(
+            (QSequence(0, elements),), ExternalUtilityTable.uniform((1, 2, 3))
+        )
+        handoffs = []
+        descend = miner_extend._ExtendMiner._descend
+
+        def recording_descend(miner, s, rows, p, total):
+            if len(rows) == 1 and p > 0 and total > miner.threshold:
+                handoffs.append((s, p))
+            return descend(miner, s, rows, p, total)
+
+        with monkeypatch.context() as m:
+            m.setattr(miner_extend._ExtendMiner, "_descend", recording_descend)
+            self.test_cuts_and_evaluations_equal_a_plain_walk(monkeypatch, db, 4, None)
+        assert handoffs == [((1, 3), 1)]
 
     @pytest.mark.parametrize(
         "db, min_util, max_len",

@@ -70,11 +70,16 @@ class TestEnumerateEmbeddings:
                 )
 
     def test_index_masks_mark_holding_sequences(self, ref_db):
+        # Bit k of masks[item][c - 1] marks a sequence with c or more copies,
+        # up to the most copies any sequence holds.
         index = build_bit_index(ref_db)
-        for item, mask in index.masks.items():
+        assert set(index.masks) == {x for seq in ref_db.sequences for x in seq.items}
+        for item, at_least in index.masks.items():
+            assert len(at_least) == max(seq.items.count(item) for seq in ref_db.sequences)
             for k, seq in enumerate(ref_db.sequences):
-                holds = any(e.item == item for e in seq.elements)
-                assert bool(mask >> k & 1) == holds
+                copies = seq.items.count(item)
+                for c, mask in enumerate(at_least, 1):
+                    assert bool(mask >> k & 1) == (copies >= c)
         # An index without masks would give empty chains; it cannot be built.
         with pytest.raises(TypeError):
             luspm.BitIndex(index.positions)
