@@ -1,9 +1,28 @@
-"""Shared memoized chain evaluation and inherited-chain arithmetic.
+"""Shared memoized lazy chains and inherited-chain arithmetic.
 
 Utility is a global property of a pattern, so identical patterns reached from
-different roots or position subsets are materialized once per run; the
-utility-computation counter counts distinct materializations only. A
-pattern's (utility, support) pair is summed from its rows once, too.
+different roots or position subsets share one chain per run; the
+utility-computation counter counts distinct chains, once each, when the chain
+is created, however far it is later pulled.
+
+A chain is lazy: it holds the rows pulled so far, their total, and a source
+of further rows. A pattern's own chain pulls from the database scan, one
+holder sequence at a time (every embedding the sequence has); a restriction
+pulls from its parent chain, one parent sequence at a time, pulling the
+parent further when it runs out. So every chain's rows are whole sequences'
+rows, grouped by sequence, in the order a full build gives them.
+
+Every decision a miner takes on a chain compares a deduplicated sum with the
+threshold: the chain total, a restricted total, a frozen-prefix bound. Such a
+sum only grows as rows are added, because utilities are positive and a
+pulled row is never taken back. A query therefore pulls until its sum exceeds
+the threshold or the source runs out, and reads the same answer the full
+chain gives: exceeding on a prefix of the rows means exceeding on all of
+them, and a source that ran out leaves the full sum. The answers do not
+depend on how far earlier queries pulled, so the decisions, the evaluations
+and their order are those of fully built chains. Nothing is frozen: a
+restriction made after its parent exceeded still pulls the parent to its end
+if it needs to.
 
 Inherited chains (a super-pattern's chain restricted to a subset of its
 columns) carry each row's originating sequence id and matched positions.
@@ -11,12 +30,15 @@ Distinct embeddings of the super-pattern can collapse onto the same embedding
 of the restricted pattern; summing such duplicate rows would overstate the
 lower bound, so every restriction deduplicates on (sid, restricted positions).
 Only then is the restricted sum a true lower bound on the pattern's utility.
+Rows of different sequences never collide, so a lazy restriction deduplicates
+within each sequence's rows, and a sequence's lone row needs no check.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .occurrence import BitIndex, SUChain, UtilityCounter, enumerate_embeddings
 from .seqdb import Pattern, QSequenceDatabase
@@ -70,41 +92,151 @@ def column_bound(rows: TaggedRows, cols: Sequence[int]):
     return total
 
 
-def prefix_bounds(rows: TaggedRows, p: int, width: int) -> list:
-    """``column_bound(rows, [0, .., p - 1, i])`` for every ``i`` in
-    ``p .. width - 1``, in that order, from one pass over the rows.
-
-    Each row's prefix key and prefix sum are taken once; each ``i`` keeps its
-    own set of the distinct (sid, prefix positions, position ``i``) it has
-    summed, so every bound is deduplicated exactly as ``column_bound``'s.
-    """
-    if len(rows) == 1:
-        # Most calls carry one row, and one row cannot collapse.
-        util = rows[0][2]
-        head_sum = sum(util[:p])
-        return [head_sum + u for u in util[p:width]]
-    totals = [0] * (width - p)
-    seen: list[set] = [set() for _ in totals]
-    for sid, pos, util in rows:
-        head = (sid, pos[:p])
-        head_sum = sum(util[:p])
-        for k, (x, u) in enumerate(zip(pos[p:width], util[p:width])):
-            key = (head, x)
-            if key not in seen[k]:
-                seen[k].add(key)
-                totals[k] += head_sum + u
-    return totals
-
-
 def rows_total(rows: TaggedRows):
     return sum(sum(util) for _, _, util in rows)
 
 
-class ChainStore:
-    """Pattern-keyed cache of true sequence-utility chains.
+class LazyChain:
+    """A chain's rows pulled so far, their ``total``, and the source of the
+    rest.
 
-    ``_build`` is the package's one scan of the database for a pattern's
+    ``rows`` is a list while the source lasts and becomes a tuple once it
+    runs out. The source appends one sequence's rows per step and yields
+    their sum.
+    """
+
+    __slots__ = ("rows", "total", "_source")
+
+    def __init__(self, rows: list, source: Iterator):
+        self.rows = rows
+        self.total = 0
+        self._source: Iterator | None = source
+
+    def _pull(self) -> bool:
+        """Pull the next sequence's rows; false once the source has none."""
+        if self._source is not None:
+            total = next(self._source, None)
+            if total is not None:
+                self.total += total
+                return True
+            self._source = None
+            self.rows = tuple(self.rows)
+        return False
+
+    def full(self) -> TaggedRows:
+        """Every row, pulling the rest of the source."""
+        if self._source is not None:
+            self.total += sum(self._source)
+            self._source = None
+            self.rows = tuple(self.rows)
+        return self.rows
+
+    def exceeds(self, threshold) -> bool:
+        """Whether the chain total exceeds ``threshold``: the pattern's
+        utility on its own chain, the lower bound on a restriction."""
+        while self.total <= threshold:
+            if not self._pull():
+                return False
+        return True
+
+    def marked(self, p: int, width: int, threshold) -> list[int]:
+        """The columns ``i`` in ``p .. width - 1`` whose frozen-prefix bound,
+        the deduplicated sum over columns ``0 .. p - 1`` and ``i``, exceeds
+        ``threshold``, ascending.
+
+        Rows are read until every column exceeds or the source runs out; a
+        column stops being summed once it exceeds. Each sequence's rows are
+        deduplicated on their own, and a lone row skips the check.
+        """
+        bounds = [0] * width
+        live = list(range(p, width))
+        k = 0
+        while live and (k < len(self.rows) or self._pull()):
+            rows = self.rows
+            sid, pos, util = rows[k]
+            k += 1
+            n = len(rows)
+            if k == n or rows[k][0] != sid:
+                head = sum(util[:p])
+                for i in live:
+                    bounds[i] += head + util[i]
+            else:
+                seen: set[tuple] = set()
+                k -= 1
+                while k < n and rows[k][0] == sid:
+                    _, pos, util = rows[k]
+                    k += 1
+                    head_pos = pos[:p]
+                    head = sum(util[:p])
+                    for i in live:
+                        key = (head_pos, i, pos[i])
+                        if key not in seen:
+                            seen.add(key)
+                            bounds[i] += head + util[i]
+            live = [i for i in live if bounds[i] <= threshold]
+        return [i for i in range(p, width) if bounds[i] > threshold]
+
+    def restrict(self, keep: Sequence[int]) -> LazyChain:
+        """The chain of the pattern formed by the ``keep`` columns, pulled
+        lazily from this one."""
+        rows: list[TaggedRow] = []
+        return LazyChain(rows, self._restricted(_columns(keep), rows))
+
+    def _restricted(self, take, out: list) -> Iterator:
+        """Append to ``out`` the restriction of each sequence's rows of this
+        chain, pulling them as needed, and yield each one's sum."""
+        k = 0
+        while k < len(self.rows) or self._pull():
+            rows = self.rows
+            sid, pos, util = rows[k]
+            k += 1
+            key = take(pos)
+            util = take(util)
+            out.append((sid, key, util))
+            total = sum(util)
+            n = len(rows)
+            if k < n and rows[k][0] == sid:
+                seen = {key}
+                while k < n and rows[k][0] == sid:
+                    _, pos, util = rows[k]
+                    k += 1
+                    key = take(pos)
+                    if key not in seen:
+                        seen.add(key)
+                        util = take(util)
+                        out.append((sid, key, util))
+                        total += sum(util)
+            yield total
+
+
+def _append_rows(out: list, sid: int, embeddings: list, utils: tuple):
+    """Append the rows of one sequence's embeddings, given the sequence's
+    per-position utilities, and return their sum."""
+    get = utils.__getitem__
+    # Most holders have one embedding; many embeddings are projected and
+    # summed by C-level iteration instead of one step per row.
+    if len(embeddings) == 1:
+        (pos,) = embeddings
+        util = tuple(map(get, pos))
+        out.append((sid, pos, util))
+        return sum(util)
+    utils_per_row = [tuple(map(get, pos)) for pos in embeddings]
+    out += zip(repeat(sid), embeddings, utils_per_row)
+    return sum(map(sum, utils_per_row))
+
+
+class ChainStore:
+    """Pattern-keyed cache of lazy true sequence-utility chains.
+
+    ``_scan`` is the package's one scan of the database for a pattern's
     embeddings; every chain, utility and support is read from its rows.
+    ``rows_pulled`` counts the rows the scans have produced.
+
+    With a ``threshold``, ``evaluate`` answers ``None`` for a pattern whose
+    utility exceeds it, pulling only the rows that show it. A
+    ``max_embeddings`` cap applies to each sequence's embeddings; a capped
+    store pulls each chain in full when it creates it, so a breach raises
+    there, before the chain is kept or counted.
     """
 
     def __init__(
@@ -113,41 +245,54 @@ class ChainStore:
         index: BitIndex | None,
         counter: UtilityCounter | None = None,
         max_embeddings: int | None = None,
+        threshold=None,
     ):
         self.db = db
         self.index = index
         self.counter = counter
         self.max_embeddings = max_embeddings
-        self._memo: dict[Pattern, TaggedRows] = {}
-        self._totals: dict[Pattern, tuple] = {}
-        # The per-position utilities of each sequence a build has matched, by
+        self.threshold = threshold
+        self.rows_pulled = 0
+        self._memo: dict[Pattern, LazyChain] = {}
+        # The per-position utilities of each sequence a scan has matched, by
         # index into ``db.sequences``.
         self._utils: dict[int, tuple] = {}
 
-    def tagged(self, pattern: Pattern) -> TaggedRows:
-        """The pattern's own chain rows, with embedding provenance."""
-        cached = self._memo.get(pattern)
-        if cached is None:
-            cached = self._build(pattern)
-            self._memo[pattern] = cached
-        return cached
+    def tagged(self, pattern: Pattern) -> LazyChain:
+        """The pattern's own lazy chain, with embedding provenance. Creating
+        it counts as one utility computation."""
+        chain = self._memo.get(pattern)
+        if chain is None:
+            rows: list[TaggedRow] = []
+            chain = LazyChain(rows, self._scan(pattern, rows))
+            if self.max_embeddings is not None:
+                chain.full()
+            self._memo[pattern] = chain
+            if self.counter is not None:
+                self.counter.increment()
+        return chain
+
+    def rows(self, pattern: Pattern) -> TaggedRows:
+        """The pattern's own chain rows, pulled in full."""
+        return self.tagged(pattern).full()
 
     def chain(self, pattern: Pattern) -> SUChain:
-        rows = self.tagged(pattern)
+        rows = self.rows(pattern)
         return SUChain(len(pattern), tuple(util for _, _, util in rows))
 
     def evaluate(self, pattern: Pattern):
-        """(true utility, support) of a pattern."""
-        totals = self._totals.get(pattern)
-        if totals is None:
-            rows = self.tagged(pattern)
-            totals = self._totals[pattern] = (rows_total(rows), len(rows))
-        return totals
+        """(true utility, support) of a pattern, or ``None`` if the store has
+        a threshold and the utility exceeds it."""
+        chain = self.tagged(pattern)
+        if self.threshold is not None and chain.exceeds(self.threshold):
+            return None
+        rows = chain.full()
+        return chain.total, len(rows)
 
-    def _build(self, pattern: Pattern) -> TaggedRows:
-        """Rows grouped by sequence order, then embedding order. Counts as one
-        utility computation."""
-        rows: list[TaggedRow] = []
+    def _scan(self, pattern: Pattern, out: list) -> Iterator:
+        """Append to ``out`` the rows of each holder sequence that contains
+        the pattern, grouped by sequence order, then embedding order, and
+        yield each sequence's sum."""
         sequences = self.db.sequences
         for k in self._holders(pattern):
             seq = sequences[k]
@@ -159,11 +304,12 @@ class ChainStore:
             utils = self._utils.get(k)
             if utils is None:
                 utils = self._utils[k] = self.db.sequence_utilities(seq)
-            for pos in embeddings:
-                rows.append((seq.sid, pos, tuple(map(utils.__getitem__, pos))))
-        if self.counter is not None:
-            self.counter.increment()
-        return tuple(rows)
+            self.rows_pulled += len(embeddings)
+            total = _append_rows(out, seq.sid, embeddings, utils)
+            # A suspended scan keeps its locals alive; dropping the list of
+            # embeddings leaves a partly pulled chain holding only its rows.
+            del embeddings
+            yield total
 
     def _holders(self, pattern: Pattern):
         """Ascending indices into ``db.sequences`` of the sequences that hold
@@ -208,4 +354,4 @@ def support(
     index: BitIndex | None = None,
 ) -> int:
     """Total number of embeddings of the pattern across the database."""
-    return len(ChainStore(db, index).tagged(pattern))
+    return len(ChainStore(db, index).rows(pattern))

@@ -15,6 +15,7 @@ from .harness import (
     SweepSpec,
     run_once,
     run_sweep,
+    timed_run,
 )
 from .seqdb import (
     ExternalUtilityTable,
@@ -59,7 +60,9 @@ def _cmd_mine(args) -> int:
         sigma=Fraction(args.sigma) if args.sigma is not None else None,
         max_len=args.max_len,
     )
-    result, report = run_once(db, cfg, args.algo)
+    # Only the metrics file records peak memory, which a second, traced call
+    # measures.
+    result, report = (run_once if args.metrics else timed_run)(db, cfg, args.algo)
     if result is None:
         print(f"status: {report.status}", file=sys.stderr)
         return 1

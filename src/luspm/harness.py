@@ -1,9 +1,10 @@
 """Instrumented runner: single runs, parameter sweeps and database sampling.
 
-Runtime comes from a call with tracemalloc off. Peak memory comes from a
-second call of the same miner under tracemalloc: the delta of Python's tracked
-allocations from that call's start, not OS RSS, so numbers are reproducible
-across machines. Everything except durations and memory is deterministic.
+Runtime comes from a call with tracemalloc off (``timed_run``). Peak memory
+comes from a second call of the same miner under tracemalloc (``run_once``
+makes both): the delta of Python's tracked allocations from that call's
+start, not OS RSS, so numbers are reproducible across machines. Everything
+except durations and memory is deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 import random
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CandidateCapExceeded
 from .miner_base import LuspResult, mine_baseline
@@ -128,17 +129,16 @@ def _peak_bytes(db, cfg, algorithm) -> int:
             tracemalloc.stop()
 
 
-def run_once(
+def timed_run(
     db: QSequenceDatabase,
     cfg: MiningConfig,
     algorithm: str,
 ) -> tuple[LuspResult | None, MetricsReport]:
-    """Run one miner and capture metrics for that run only.
+    """Run one miner once, untraced, and report that run with a peak of 0.
 
-    The result, runtime and utility computations come from one call; peak
-    memory from a second, traced call. A baseline candidate-cap abort is
-    reported as status ``cap_exceeded`` rather than raised, and skips the
-    second call.
+    The result, runtime and utility computations come from the one call. A
+    baseline candidate-cap abort is reported as status ``cap_exceeded``
+    rather than raised.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -153,7 +153,6 @@ def run_once(
     except CandidateCapExceeded:
         status = "cap_exceeded"
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    peak = 0 if result is None else _peak_bytes(db, cfg, algorithm)
 
     if result is not None:
         min_util = str(result.min_util)
@@ -171,10 +170,26 @@ def run_once(
         patterns=patterns,
         utility_computations=counter.count,
         runtime_ms=runtime_ms,
-        peak_bytes=peak,
+        peak_bytes=0,
         status=status,
     )
     return result, report
+
+
+def run_once(
+    db: QSequenceDatabase,
+    cfg: MiningConfig,
+    algorithm: str,
+) -> tuple[LuspResult | None, MetricsReport]:
+    """Run one miner and capture metrics for that run only.
+
+    The result, runtime and utility computations come from ``timed_run``;
+    peak memory from a second, traced call, which a cap abort skips.
+    """
+    result, report = timed_run(db, cfg, algorithm)
+    if result is None:
+        return result, report
+    return result, replace(report, peak_bytes=_peak_bytes(db, cfg, algorithm))
 
 
 def run_sweep(

@@ -40,7 +40,9 @@ candidates that lie in no root's cut subtree are evaluated; each cut's bound
 is a lower bound on the true utility of every pattern in its subtree, so the
 skipped ones cannot be results. Deferring the evaluation, rather than
 skipping against the bounds seen so far, keeps the set of evaluated patterns
-independent of the order of the roots.
+independent of the order of the roots. The store evaluates a candidate
+against the threshold, pulling its chain only until its utility exceeds it
+(see ``chains``); a result's chain is pulled to its end.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ class _ExtendMiner:
         # exact ``min_util``.
         self.threshold = comparison_threshold(self.min_util, db)
         self.max_len = cfg.max_len
-        self.store = ChainStore(db, build_bit_index(db), counter)
+        self.store = ChainStore(
+            db, build_bit_index(db), counter, threshold=self.threshold
+        )
         self.shadow = shadow
         # Prefixes some root admitted, in first-admission order, and the cuts
         # of every root as cut prefix -> residuals; both are filled by the
@@ -93,8 +97,8 @@ class _ExtendMiner:
         sys.setrecursionlimit(max(limit, RECURSION_HEADROOM))
         try:
             for root in roots:
-                rows = self.store.tagged(root)
-                self._descend(root, rows, 0, rows_total(rows))
+                chain = self.store.tagged(root)
+                self._descend(root, chain.full(), 0, chain.total)
         finally:
             sys.setrecursionlimit(limit)
         records = []
@@ -103,9 +107,9 @@ class _ExtendMiner:
                 if self.shadow is not None:
                     self.shadow.sluspb_skip(q)
                 continue
-            utility, support = self.store.evaluate(q)
-            if utility <= self.threshold:
-                records.append(LuspRecord(q, utility, support))
+            totals = self.store.evaluate(q)
+            if totals is not None:
+                records.append(LuspRecord(q, *totals))
         return LuspResult.from_records(records, self.min_util, self.max_len)
 
     def _in_cut_subtree(self, q: Pattern) -> bool:

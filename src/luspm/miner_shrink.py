@@ -7,6 +7,16 @@ children are first screened by its restricted sum (the lower bound LBS) so
 most true-utility evaluations are skipped, and positions whose frozen-prefix
 lower bound exceeds the threshold are removed wholesale (``_prune_item``).
 
+Every decision reads a lazy chain (``chains.LazyChain``) through a threshold
+question: ``ChainStore.evaluate`` answers a pattern's exact (utility,
+support), or ``None`` once its utility exceeds the threshold; a carried
+chain answers whether its restricted total exceeds it (``exceeds``) and
+which positions' frozen-prefix bounds do (``marked``); and children are
+lazy restrictions of it. Each question pulls rows only until it is
+decided, and its answer is the full chain's, so the search takes the same
+path, evaluates the same patterns in the same order and reports the same
+skips and prunes as on fully built chains.
+
 Each (pattern, position) node is expanded once per run, by whichever regime
 reaches it first; the same node is reached again from other roots and other
 removal orders, and on n copies of one item along all 2^n position subsets.
@@ -24,16 +34,10 @@ from __future__ import annotations
 
 import sys
 
-# ``column_bound`` is not called here; it stays imported because the
-# benchmark's tracer (perfbench/tracer.py) patches this module's name for it.
-from .chains import (
-    ChainStore,
-    TaggedRows,
-    column_bound,
-    prefix_bounds,
-    restrict_rows,
-    rows_total,
-)
+# ``column_bound`` and ``restrict_rows`` are not called here; they stay
+# imported because the benchmark's tracer (perfbench/tracer.py) patches this
+# module's names for them.
+from .chains import ChainStore, LazyChain, column_bound, restrict_rows
 from .miner_base import LuspRecord, LuspResult, first_visit
 from .occurrence import UtilityCounter, build_bit_index
 from .preprocess import build_max_non_con_seq_set
@@ -62,7 +66,9 @@ class _ShrinkMiner:
         # exact ``min_util``.
         self.threshold = comparison_threshold(self.min_util, db)
         self.max_len = cfg.max_len
-        self.store = ChainStore(db, build_bit_index(db), counter)
+        self.store = ChainStore(
+            db, build_bit_index(db), counter, threshold=self.threshold
+        )
         self.shadow = shadow
         self._sink: dict[Pattern, tuple] = {}
         # Pattern -> bitmask of the positions it has been expanded at.
@@ -87,13 +93,13 @@ class _ShrinkMiner:
         self._sink.setdefault(pattern, (utility, support))
 
     def _mine_root(self, root: Pattern) -> None:
-        utility, support = self.store.evaluate(root)
-        if utility <= self.threshold:
+        totals = self.store.evaluate(root)
+        if totals is not None:
             # ``_shrinkage(root, 0)`` reaches every removal product of the
             # root, so a lower-bound-screened pass from it would repeat work.
             self._shrinkage(root, 0)
             if self._len_ok(root):
-                self._record(root, utility, support)
+                self._record(root, *totals)
         else:
             self._shrinkage_depth(root, self.store.tagged(root), 0)
 
@@ -106,40 +112,39 @@ class _ShrinkMiner:
             q = s[:p] + s[p + 1 :]
             if not q:
                 return
-            utility, support = self.store.evaluate(q)
-            if utility <= self.threshold:
+            totals = self.store.evaluate(q)
+            if totals is not None:
                 if p < len(q):
                     self._shrinkage(q, p)
                 if self._len_ok(q):
-                    self._record(q, utility, support)
+                    self._record(q, *totals)
             elif p < len(q):
                 self._shrinkage_depth(q, self.store.tagged(q), p)
 
-    def _shrinkage_depth(self, s: Pattern, rows: TaggedRows, p: int) -> None:
+    def _shrinkage_depth(self, s: Pattern, chain: LazyChain, p: int) -> None:
         if not first_visit(self._expanded, s, p):
             return
         if p < len(s):
-            s, rows, pruned = self._prune_item(s, rows, p)
+            s, chain, pruned = self._prune_item(s, chain, p)
             if pruned and s:
                 # The survivor is itself a removal product (its marked
                 # positions were deleted en masse), so it gets the same
                 # lower-bound-gated evaluation a remove branch would apply.
                 # Its proper subsets are covered by the recursion below.
-                self._screen(s, rows)
+                self._screen(s, chain)
         if p + 1 < len(s):
-            self._shrinkage_depth(s, rows, p + 1)
+            self._shrinkage_depth(s, chain, p + 1)
         if p >= len(s):
             return
         q = s[:p] + s[p + 1 :]
         if not q:
             return
-        new_rows = restrict_rows(rows, [*range(p), *range(p + 1, len(s))])
+        child = chain.restrict([*range(p), *range(p + 1, len(s))])
         if self._len_ok(q):
-            lbs = rows_total(new_rows)
-            if lbs <= self.threshold:
-                utility, support = self.store.evaluate(q)
-                if utility <= self.threshold:
-                    self._record(q, utility, support)
+            if not child.exceeds(self.threshold):
+                totals = self.store.evaluate(q)
+                if totals is not None:
+                    self._record(q, *totals)
                     self._shrinkage(q, p)
                 elif p < len(q):
                     self._shrinkage_depth(q, self.store.tagged(q), p)
@@ -147,35 +152,34 @@ class _ShrinkMiner:
                 if self.shadow is not None:
                     self.shadow.sluspb_skip(q)
                 if p < len(q):
-                    self._shrinkage_depth(q, new_rows, p)
+                    self._shrinkage_depth(q, child, p)
         elif p < len(q):
-            self._shrinkage_depth(q, new_rows, p)
+            self._shrinkage_depth(q, child, p)
 
-    def _screen(self, q: Pattern, rows: TaggedRows) -> None:
+    def _screen(self, q: Pattern, chain: LazyChain) -> None:
         """Lower-bound-gated evaluation of one candidate, without recursion."""
         if not self._len_ok(q):
             return
-        if rows_total(rows) > self.threshold:
+        if chain.exceeds(self.threshold):
             if self.shadow is not None:
                 self.shadow.sluspb_skip(q)
             return
-        utility, support = self.store.evaluate(q)
-        if utility <= self.threshold:
-            self._record(q, utility, support)
+        totals = self.store.evaluate(q)
+        if totals is not None:
+            self._record(q, *totals)
 
     def _prune_item(
-        self, s: Pattern, rows: TaggedRows, p: int
-    ) -> tuple[Pattern, TaggedRows, bool]:
-        bounds = prefix_bounds(rows, p, len(s))
-        marked = [i for i, bound in enumerate(bounds, p) if bound > self.threshold]
+        self, s: Pattern, chain: LazyChain, p: int
+    ) -> tuple[Pattern, LazyChain, bool]:
+        marked = chain.marked(p, len(s), self.threshold)
         if not marked:
-            return s, rows, False
+            return s, chain, False
         if self.shadow is not None:
             for i in marked:
                 self.shadow.sbips_prune(s, p, i)
         drop = set(marked)
         keep = [j for j in range(len(s)) if j not in drop]
-        return tuple(s[j] for j in keep), restrict_rows(rows, keep), True
+        return tuple(s[j] for j in keep), chain.restrict(keep), True
 
 
 def mine_shrink(

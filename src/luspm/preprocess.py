@@ -52,7 +52,7 @@ def build_max_non_con_seq_set(store: ChainStore, min_util) -> MaxNonConSeqSet:
     seen: set[Pattern] = set()
     for seq in store.db.sequences:
         pattern = seq.items
-        rows = store.tagged(pattern)
+        rows = store.rows(pattern)
         keep = _kept_columns((util for _, _, util in rows), len(pattern), min_util)
         pruned = tuple(pattern[q] for q in keep)
         if pruned and pruned not in seen:

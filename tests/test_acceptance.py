@@ -148,7 +148,7 @@ def test_c3_theorem_property_suite():
         S = tuple(F[c] for c in s_cols)
         produced += 1
 
-        rows = store.tagged(F)
+        rows = store.rows(F)
         u_f = rows_total(rows)
 
         # Support counts embeddings, so support(F) <= support(S) is no theorem

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,8 @@ from luspm import (
 from luspm import chains
 from luspm.chains import (
     ChainStore,
+    LazyChain,
     column_bound,
-    prefix_bounds,
     restrict_rows,
     rows_total,
 )
@@ -112,7 +113,7 @@ class TestLowerBoundProperties:
         k = rng.randint(1, len(seq))
         cols_f = sorted(rng.sample(range(len(seq)), k))
         pattern = tuple(seq.items[j] for j in cols_f)
-        rows = store.tagged(pattern)
+        rows = store.rows(pattern)
         m = rng.randint(1, len(pattern))
         keep = sorted(rng.sample(range(len(pattern)), m))
         sub = tuple(pattern[c] for c in keep)
@@ -131,7 +132,7 @@ class TestLowerBoundProperties:
         if len(seq) < 3:
             return
         pattern = seq.items
-        rows = store.tagged(pattern)
+        rows = store.rows(pattern)
         q_cols = sorted(rng.sample(range(len(pattern)), len(pattern) - 1))
         s_cols = sorted(rng.sample(q_cols, len(q_cols) - 1))
         if not s_cols:
@@ -156,16 +157,16 @@ class TestChainStore:
         records = mine_baseline(ref_db, MiningConfig(min_util=10**9)).records
         for r in records:
             assert store.evaluate(r.pattern) == (r.utility, r.support)
-        # A second call reads the memoized pair: it neither builds a chain
-        # nor sums rows again.
+        # A second call reads the memoized chain's total and rows: it neither
+        # builds a chain nor scans the database again.
         built = store.counter.count
         with monkeypatch.context() as m:
-            m.setattr(chains, "rows_total", None)
+            m.setattr(chains, "enumerate_embeddings", None)
             for r in records:
                 assert store.evaluate(r.pattern) == (r.utility, r.support)
         assert store.counter.count == built
         for r in records:
-            rows = store.tagged(r.pattern)
+            rows = store.rows(r.pattern)
             assert (r.utility, r.support) == (rows_total(rows), len(rows))
 
     def test_chain_view_matches_direct(self, ref_db):
@@ -176,12 +177,32 @@ class TestChainStore:
             assert compute_utility(chain) == r.utility
 
 
+def _lazy(rows) -> LazyChain:
+    """A lazy chain over the given rows, pulled one sequence at a time."""
+    out: list = []
+
+    def source():
+        for _, group in groupby(rows, key=itemgetter(0)):
+            group = list(group)
+            out.extend(group)
+            yield rows_total(group)
+
+    return LazyChain(out, source())
+
+
+def _thresholds(values) -> list:
+    """Each value, and a threshold just below it: every utility here is a
+    multiple of 1/3, so value - 1/6 lies strictly between two of them."""
+    return sorted({t for v in values for t in (v, v - Fraction(1, 6))})
+
+
 class TestPrefixBounds:
     def test_equals_column_bound_for_every_prefix(self):
         # Two or three items over long sequences give many embeddings per
         # pattern, so rows collapse onto shared (prefix, position) keys;
-        # thirds make every utility a Fraction.
-        collapsed = 0
+        # thirds make every utility a Fraction. Each marking is read from a
+        # fresh store, so it pulls the chain only as far as it needs.
+        collapsed = partial = 0
         for seed in range(40):
             rng = random.Random(seed)
             db = generate_synthetic(3, rng.randint(2, 3), 5, 8, 4, 4, seed)
@@ -190,35 +211,78 @@ class TestPrefixBounds:
             seq = rng.choice(db.sequences)
             k = rng.randint(2, min(5, len(seq)))
             cols = sorted(rng.sample(range(len(seq)), k))
-            rows = _store(db).tagged(tuple(seq.items[j] for j in cols))
+            pattern = tuple(seq.items[j] for j in cols)
+            rows = _store(db).rows(pattern)
             for p in range(k):
-                bounds = prefix_bounds(rows, p, k)
-                assert len(bounds) == k - p
+                bounds = {
+                    i: column_bound(rows, [*range(p), i]) for i in range(p, k)
+                }
+                for t in _thresholds([0, *bounds.values()]):
+                    chain = _store(db).tagged(pattern)
+                    marked = chain.marked(p, k, t)
+                    assert marked == [i for i in range(p, k) if bounds[i] > t]
+                    partial += len(chain.rows) < len(rows)
                 for i in range(p, k):
-                    keep = list(range(p)) + [i]
-                    assert bounds[i - p] == column_bound(rows, keep)
-                    collapsed += len(restrict_rows(rows, keep)) < len(rows)
-        assert collapsed > 0
+                    collapsed += len(restrict_rows(rows, [*range(p), i])) < len(rows)
+        assert collapsed > 0 and partial > 0
 
     def test_no_rows_bound_to_zero(self):
-        assert prefix_bounds((), 1, 4) == [0, 0, 0]
+        assert _lazy(()).marked(1, 4, -1) == [1, 2, 3]
+        assert _lazy(()).marked(1, 4, 0) == []
 
     def test_one_row_equals_column_bound_for_every_prefix(self):
-        # One row takes the fast path: each bound is a prefix sum plus one
-        # entry, in int and in Fraction utilities alike.
+        # One row takes the lone-row path: each bound is a prefix sum plus
+        # one entry, in int and in Fraction utilities alike.
         rng = random.Random(1)
         for width in range(1, 7):
             pos = tuple(sorted(rng.sample(range(12), width)))
             for util in (
                 tuple(rng.randint(1, 9) for _ in pos),
-                tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in pos),
+                tuple(Fraction(rng.randint(1, 9), 3) for _ in pos),
             ):
                 rows = ((3, pos, util),)
                 for p in range(width):
-                    bounds = prefix_bounds(rows, p, width)
-                    assert bounds == [
+                    bounds = [
                         column_bound(rows, [*range(p), i]) for i in range(p, width)
                     ]
+                    for t in _thresholds(bounds):
+                        assert _lazy(rows).marked(p, width, t) == [
+                            i for i, b in enumerate(bounds, p) if b > t
+                        ]
+
+
+class TestLazyChain:
+    def test_restrictions_equal_the_row_kernels(self):
+        # Nested lazy restrictions hold exactly the rows ``restrict_rows``
+        # gives, and answer ``exceeds`` as the full restricted total does,
+        # pulling their parents only as far as each answer needs. Two or
+        # three items over long sequences make restricted rows collapse.
+        collapsed = partial = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            db = generate_synthetic(4, rng.randint(2, 3), 4, 9, 4, 4, seed)
+            seq = rng.choice(db.sequences)
+            k = rng.randint(2, len(seq))
+            pattern = tuple(seq.items[j] for j in sorted(rng.sample(range(len(seq)), k)))
+            rows = _store(db).rows(pattern)
+            outer = sorted(rng.sample(range(k), rng.randint(1, k)))
+            inner = sorted(rng.sample(range(len(outer)), rng.randint(1, len(outer))))
+            once = restrict_rows(rows, outer)
+            twice = restrict_rows(once, inner)
+            collapsed += len(twice) < len(rows)
+            for t in _thresholds([0, rows_total(once), rows_total(twice)]):
+                store = _store(db)
+                chain = store.tagged(pattern)
+                a = chain.restrict(outer)
+                b = a.restrict(inner)
+                assert b.exceeds(t) == (rows_total(twice) > t)
+                assert a.exceeds(t) == (rows_total(once) > t)
+                partial += len(chain.rows) < len(rows)
+                assert store.rows_pulled <= len(rows)
+                assert (b.full(), a.full(), chain.full()) == (twice, once, rows)
+                assert store.rows_pulled == len(rows)
+                assert (b.total, a.total) == (rows_total(twice), rows_total(once))
+        assert collapsed > 0 and partial > 0
 
 
 def _reference_rows(db, pattern) -> tuple:
@@ -262,12 +326,12 @@ class TestScan:
         # Repeated items, longer than many sequences that hold the item.
         patterns += [(item,) * n for item in (1, 2, 3) for n in (2, 4, 6)]
         patterns.append((1, 2, 3, 4, 5, 6))
-        expected = {p: ChainStore(db, None).tagged(p) for p in patterns}
+        expected = {p: ChainStore(db, None).rows(p) for p in patterns}
 
         visited = _recorded_scans(monkeypatch)
         store = _store(db)
         for p in patterns:
-            assert store.tagged(p) == expected[p]
+            assert store.rows(p) == expected[p]
         assert visited
         for pattern, items in visited:
             assert set(pattern) <= set(items)
@@ -284,12 +348,12 @@ class TestScan:
         patterns += [(1, 2, 1, 2), (3, 3, 4, 3), (1, 2, 3, 4), (2, 2, 2, 2, 2, 2, 1)]
         for _ in range(30):
             patterns.append(tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 7))))
-        expected = {p: ChainStore(db, None).tagged(p) for p in patterns}
+        expected = {p: ChainStore(db, None).rows(p) for p in patterns}
 
         visited = _recorded_scans(monkeypatch)
         store = _store(db)
         for p in patterns:
-            assert store.tagged(p) == expected[p]
+            assert store.rows(p) == expected[p]
         for pattern, items in visited:
             assert all(items.count(x) >= pattern.count(x) for x in pattern)
         # The item masks alone would admit these; the copy counts skip them.
@@ -326,15 +390,15 @@ class TestScan:
             index = build_bit_index(db)
             for p in sorted(patterns):
                 expected = _reference_rows(db, p)
-                assert ChainStore(db, index).tagged(p) == expected
-                assert ChainStore(db, None).tagged(p) == expected
+                assert ChainStore(db, index).rows(p) == expected
+                assert ChainStore(db, None).rows(p) == expected
                 absent += not expected
                 longer += len(p) > max(len(seq) for seq in db.sequences)
                 cap = max(sum(sid == seq.sid for sid, _, _ in expected) for seq in db.sequences)
-                assert ChainStore(db, index, max_embeddings=cap).tagged(p) == expected
+                assert ChainStore(db, index, max_embeddings=cap).rows(p) == expected
                 if cap:
                     with pytest.raises(EmbeddingCapExceeded):
-                        ChainStore(db, index, max_embeddings=cap - 1).tagged(p)
+                        ChainStore(db, index, max_embeddings=cap - 1).rows(p)
                 unique += cap == 1
                 several += cap > 1
         assert absent and longer and unique and several

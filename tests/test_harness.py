@@ -195,6 +195,31 @@ class TestCli:
         rows = parse_metrics_csv(metrics.read_text())
         assert rows[0]["algo"] == "shrink" and rows[0]["status"] == "ok"
 
+    def test_mine_traces_a_second_call_only_for_metrics(
+        self, tmp_path, small_db, monkeypatch
+    ):
+        # Peak memory appears only in the metrics file, so without
+        # ``--metrics`` the miner runs once, with tracemalloc off.
+        db_file, utils_file = self._write_db(tmp_path, small_db)
+        tracing = []
+
+        def spy(*args, **kwargs):
+            tracing.append(tracemalloc.is_tracing())
+            return mine_shrink(*args, **kwargs)
+
+        monkeypatch.setattr("luspm.harness.mine_shrink", spy)
+        argv = [
+            "mine", "--algo", "shrink", "--db", str(db_file),
+            "--utils", str(utils_file), "--min-util", "12",
+            "--out", str(tmp_path / "out.tsv"),
+        ]
+        assert main(argv) == 0
+        assert tracing == [False]
+        metrics = tmp_path / "metrics.csv"
+        assert main(argv + ["--metrics", str(metrics)]) == 0
+        assert tracing == [False, False, True]
+        assert int(parse_metrics_csv(metrics.read_text())[0]["peak_bytes"]) > 0
+
     def test_mine_without_utils_defaults_to_ones(self, tmp_path, small_db):
         db_file, _ = self._write_db(tmp_path, small_db)
         out = tmp_path / "out.tsv"

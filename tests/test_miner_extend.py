@@ -82,7 +82,7 @@ def _reference_extension(db, min_util, max_len=None):
             candidates[s[: p + 1]] = None
 
     for root in build_max_non_con_seq_set(store, min_util).roots:
-        walk(root, store.tagged(root), 0)
+        walk(root, store.rows(root), 0)
     return list(candidates), cuts
 
 

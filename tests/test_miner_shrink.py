@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from luspm import (
     mine_extend,
     mine_shrink,
 )
+from luspm.chains import LazyChain
 from luspm.miner_shrink import _ShrinkMiner
 
 from conftest import random_database
@@ -232,3 +234,112 @@ class TestPruningSafety:
                     cols = sorted([position, *extra])
                     candidate = prefix + tuple(sequence[c] for c in cols)
                     assert _utility(candidate, db, index) > min_util
+
+
+class _EventLog(MiningShadow):
+    """Every pruning event of a run, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def sluspb_skip(self, pattern):
+        self.events.append(("skip", pattern))
+
+    def sbips_prune(self, sequence, removed_index, position):
+        self.events.append(("prune", sequence, removed_index, position))
+
+    def ebisps_cut(self, accumulated, residual):
+        self.events.append(("cut", accumulated, residual))
+
+
+def _observed(miner, db, cfg, monkeypatch, eager=False):
+    """A run's result set, utility computations, patterns passed to
+    ``ChainStore.evaluate`` in order, pruning events in order and rows
+    pulled. With ``eager``, every chain and restriction is pulled in full
+    when it is created."""
+    evaluated = []
+    stores = {}
+    evaluate = ChainStore.evaluate
+
+    def recording_evaluate(store, pattern):
+        stores[id(store)] = store
+        evaluated.append(pattern)
+        return evaluate(store, pattern)
+
+    with monkeypatch.context() as m:
+        m.setattr(ChainStore, "evaluate", recording_evaluate)
+        if eager:
+            tagged, restrict = ChainStore.tagged, LazyChain.restrict
+
+            def full_tagged(store, pattern):
+                chain = tagged(store, pattern)
+                chain.full()
+                return chain
+
+            def full_restrict(chain, keep):
+                child = restrict(chain, keep)
+                child.full()
+                return child
+
+            m.setattr(ChainStore, "tagged", full_tagged)
+            m.setattr(LazyChain, "restrict", full_restrict)
+        counter = UtilityCounter()
+        log = _EventLog()
+        result = miner(db, cfg, counter, log)
+    pulled = sum(store.rows_pulled for store in stores.values())
+    return (result.as_set(), counter.count, evaluated, log.events), pulled
+
+
+class TestLaziness:
+    def test_lazy_chains_decide_as_full_chains_do(self, monkeypatch):
+        # Random databases at two thresholds each, every length cap in
+        # turn; a c5-shaped database; copies of one item where every
+        # pattern is a result and where most are not; a sigma threshold.
+        # Both miners must make the same decisions, in the same order, with
+        # chains pulled lazily as with chains pulled in full.
+        cases = []
+        for seed in range(300):
+            rng = random.Random(seed)
+            db = random_database(seed)
+            max_len = (None, 1, 2, 3)[seed % 4]
+            for min_util in rng.sample([1, 2, 4, 8, 15, 30, 60], 2):
+                cases.append((db, MiningConfig(min_util=min_util, max_len=max_len)))
+        c5_shaped = generate_synthetic(100, 8, 18, 22, 5, 5, 22)
+        cases.append((c5_shaped, MiningConfig(min_util=8)))
+        for n in (8, 12):
+            copies = _repeated_db([[(1, 1 + k % 3) for k in range(n)]], [1])
+            for min_util in (10**9, 12):
+                cases.append((copies, MiningConfig(min_util=min_util)))
+        sigma_db = generate_synthetic(40, 12, 6, 10, 5, 5, 3)
+        cases.append((sigma_db, MiningConfig(sigma=Fraction(1, 100))))
+        lazy_rows = eager_rows = 0
+        for db, cfg in cases:
+            for miner in (mine_shrink, mine_extend):
+                lazy, pulled = _observed(miner, db, cfg, monkeypatch)
+                eager, everything = _observed(miner, db, cfg, monkeypatch, eager=True)
+                assert lazy == eager, (miner.__name__, cfg)
+                assert pulled <= everything
+                lazy_rows += pulled
+                eager_rows += everything
+        assert lazy_rows < eager_rows
+
+    def test_dense_pulls_a_quarter_of_the_rows(self, monkeypatch):
+        # Every evaluation on the benchmark's dense database exceeds the
+        # threshold; a handful of rows show it. Pulled in full, the chains
+        # hold 9206 rows.
+        db = generate_synthetic(30, 4, 13, 14, 5, 5, 7)
+        cfg = MiningConfig(min_util=8)
+        (found, ucomp, _, _), pulled = _observed(mine_shrink, db, cfg, monkeypatch)
+        _, everything = _observed(mine_shrink, db, cfg, monkeypatch, eager=True)
+        assert not found and ucomp == 133
+        assert everything == 9206
+        assert pulled <= 9064 // 4
+
+    def test_results_are_pulled_to_their_end(self):
+        # Every pattern of 11 copies of one item is a result, so each chain
+        # is pulled in full: C(11, k) rows for k copies, 2^11 - 1 in all.
+        rng = random.Random(0)
+        db = _repeated_db([[(1, rng.randint(1, 3)) for _ in range(11)]], [1])
+        miner = _ShrinkMiner(db, MiningConfig(min_util=10**9), None, None)
+        assert len(miner.run()) == 11
+        assert miner.store.rows_pulled == 2047

@@ -160,7 +160,7 @@ class TestSupport:
         full, sub = (2, 2, 5, 3, 3), (2, 2, 3, 3)
         assert support(full, db) == 2
         assert support(sub, db) == 1
-        rows = ChainStore(db, build_bit_index(db)).tagged(full)
+        rows = ChainStore(db, build_bit_index(db)).rows(full)
         assert len(restrict_rows(rows, (0, 1, 3, 4))) == 1
 
 
