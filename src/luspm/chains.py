@@ -1,4 +1,5 @@
-"""Shared memoized lazy chains and inherited-chain arithmetic.
+"""Shared memoized lazy chains, row-free evaluation and inherited-chain
+arithmetic.
 
 Utility is a global property of a pattern, so identical patterns reached from
 different roots or position subsets share one chain per run; the
@@ -11,6 +12,14 @@ holder sequence at a time (every embedding the sequence has); a restriction
 pulls from its parent chain, one parent sequence at a time, pulling the
 parent further when it runs out. So every chain's rows are whole sequences'
 rows, grouped by sequence, in the order a full build gives them.
+
+Rows are read only for the questions that need them: whether a chain's total
+exceeds the threshold, the frozen-prefix marking, restriction, and full
+rows. A pattern's exact utility and support (``ChainStore.evaluate``) need
+no rows: they are summed over the same holder sequences by an embedding-count
+DP, which stops once the utility exceeds the threshold. A chain already
+drained, or whose pulled rows already exceed the threshold, answers from its
+rows instead.
 
 Every decision a miner takes on a chain compares a deduplicated sum with the
 threshold: the chain total, a restricted total, a frozen-prefix bound. Such a
@@ -37,10 +46,17 @@ within each sequence's rows, and a sequence's lone row needs no check.
 from __future__ import annotations
 
 from itertools import repeat
+from math import inf
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .occurrence import BitIndex, SUChain, UtilityCounter, enumerate_embeddings
+from .occurrence import (
+    BitIndex,
+    SUChain,
+    UtilityCounter,
+    enumerate_embeddings,
+    greedy_matches,
+)
 from .seqdb import Pattern, QSequenceDatabase
 
 # (sid, matched positions, per-position utilities)
@@ -102,15 +118,16 @@ class LazyChain:
 
     ``rows`` is a list while the source lasts and becomes a tuple once it
     runs out. The source appends one sequence's rows per step and yields
-    their sum.
+    their sum. A drained chain (no source) of one row answers ``marked`` and
+    ``restrict`` from that row's utility tuple: one row cannot collapse.
     """
 
     __slots__ = ("rows", "total", "_source")
 
-    def __init__(self, rows: list, source: Iterator):
+    def __init__(self, rows: list | TaggedRows, source: Iterator | None, total=0):
         self.rows = rows
-        self.total = 0
-        self._source: Iterator | None = source
+        self.total = total
+        self._source = source
 
     def _pull(self) -> bool:
         """Pull the next sequence's rows; false once the source has none."""
@@ -148,6 +165,10 @@ class LazyChain:
         column stops being summed once it exceeds. Each sequence's rows are
         deduplicated on their own, and a lone row skips the check.
         """
+        if self._source is None and len(self.rows) == 1:
+            util = self.rows[0][2]
+            head = sum(util[:p])
+            return [i for i in range(p, width) if head + util[i] > threshold]
         bounds = [0] * width
         live = list(range(p, width))
         k = 0
@@ -179,8 +200,13 @@ class LazyChain:
     def restrict(self, keep: Sequence[int]) -> LazyChain:
         """The chain of the pattern formed by the ``keep`` columns, pulled
         lazily from this one."""
+        take = _columns(keep)
+        if self._source is None and len(self.rows) == 1:
+            ((sid, pos, util),) = self.rows
+            util = take(util)
+            return LazyChain(((sid, take(pos), util),), None, sum(util))
         rows: list[TaggedRow] = []
-        return LazyChain(rows, self._restricted(_columns(keep), rows))
+        return LazyChain(rows, self._restricted(take, rows))
 
     def _restricted(self, take, out: list) -> Iterator:
         """Append to ``out`` the restriction of each sequence's rows of this
@@ -225,18 +251,111 @@ def _append_rows(out: list, sid: int, embeddings: list, utils: tuple):
     return sum(map(sum, utils_per_row))
 
 
+def _depths(pattern: Pattern) -> dict[int, list[int]]:
+    """The pattern positions holding each of its items, descending."""
+    depths: dict[int, list[int]] = {}
+    for d in range(len(pattern) - 1, -1, -1):
+        depths.setdefault(pattern[d], []).append(d)
+    return depths
+
+
+def _embedding_totals(items, utils, left, right, depths, budget):
+    """(utility, count) summed over every embedding of a pattern in one
+    sequence, or ``None`` as soon as the utility exceeds ``budget``.
+
+    ``left`` and ``right`` are the pattern's two greedy matches in the
+    sequence and ``depths`` is ``_depths(pattern)``. One sweep from the first
+    position of ``left`` to the last of ``right`` keeps, for each prefix
+    length ``d``, the number ``cnt[d]`` of embeddings of the pattern's first
+    ``d`` items among the positions swept so far and their utility sum
+    ``ut[d]``. A position holding the pattern's ``d``-th item, with utility
+    ``u``, extends each of them: ``cnt[d + 1] += cnt[d]`` and
+    ``ut[d + 1] += ut[d] + cnt[d] * u``. Visiting its depths in descending
+    order extends only embeddings that end before it. No embedding's
+    ``d``-th position lies past ``right[d]``, so such a position is skipped
+    at depth ``d``. ``ut`` only grows, so the sweep stops once the whole
+    pattern's sum exceeds ``budget``.
+    """
+    m = len(left)
+    cnt = [1] + [0] * m
+    ut = [0] * (m + 1)
+    for j in range(left[0], right[-1] + 1):
+        ds = depths.get(items[j])
+        if ds is None:
+            continue
+        u = utils[j]
+        for d in ds:
+            c = cnt[d]
+            if c and j <= right[d]:
+                cnt[d + 1] += c
+                ut[d + 1] += ut[d] + c * u
+        if ut[m] > budget:
+            return None
+    return ut[m], cnt[m]
+
+
+# ``_HolderScan.totals`` before the store has summed the pattern.
+_UNSUMMED = object()
+
+
+class _HolderScan:
+    """The row source of a pattern's own chain.
+
+    It holds the pattern's holder sequences (``ChainStore._holders``), taken
+    once when the chain is created, and scans them in order from
+    ``holders[start]``, one per pull: the next holder that holds the pattern
+    appends all of its embeddings' rows to ``out``, and the pull gives their
+    sum. ``totals`` keeps ``ChainStore.evaluate``'s row-free answer once it
+    is made. The chain drops its scan when the scan runs out, and with it
+    the holder list and the answer, which its rows then give.
+    """
+
+    __slots__ = ("store", "pattern", "holders", "start", "out", "totals")
+
+    def __init__(self, store: ChainStore, pattern: Pattern, holders, out: list):
+        self.store = store
+        self.pattern = pattern
+        self.holders = holders
+        self.start = 0
+        self.out = out
+        self.totals = _UNSUMMED
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        store = self.store
+        sequences = store.db.sequences
+        holders = self.holders
+        for i in range(self.start, len(holders)):
+            seq = sequences[holders[i]]
+            embeddings = enumerate_embeddings(
+                self.pattern, seq, store.index, store.max_embeddings
+            )
+            if embeddings:
+                self.start = i + 1
+                store.rows_pulled += len(embeddings)
+                utils = store._sequence_utilities(holders[i])
+                return _append_rows(self.out, seq.sid, embeddings, utils)
+        self.start = len(holders)
+        raise StopIteration
+
+
 class ChainStore:
     """Pattern-keyed cache of lazy true sequence-utility chains.
 
-    ``_scan`` is the package's one scan of the database for a pattern's
-    embeddings; every chain, utility and support is read from its rows.
-    ``rows_pulled`` counts the rows the scans have produced.
+    A pattern's own chain pulls its rows from a ``_HolderScan``, the
+    package's one scan of the database for a pattern's embeddings; every row
+    question (``LazyChain.exceeds``, ``marked``, ``restrict``, ``full`` and
+    ``rows``) is read from those rows. ``rows_pulled`` counts the rows the
+    scans have produced.
 
-    With a ``threshold``, ``evaluate`` answers ``None`` for a pattern whose
-    utility exceeds it, pulling only the rows that show it. A
-    ``max_embeddings`` cap applies to each sequence's embeddings; a capped
+    ``evaluate`` builds no rows for a chain it has not drained: it sums each
+    holder sequence's embeddings by a count DP over the same holders, and
+    with a ``threshold`` answers ``None`` as soon as the utility exceeds it.
+    A ``max_embeddings`` cap applies to each sequence's embeddings; a capped
     store pulls each chain in full when it creates it, so a breach raises
-    there, before the chain is kept or counted.
+    there, before the chain is kept or counted, and evaluates from rows.
     """
 
     def __init__(
@@ -264,7 +383,8 @@ class ChainStore:
         chain = self._memo.get(pattern)
         if chain is None:
             rows: list[TaggedRow] = []
-            chain = LazyChain(rows, self._scan(pattern, rows))
+            scan = _HolderScan(self, pattern, self._holders(pattern), rows)
+            chain = LazyChain(rows, scan)
             if self.max_embeddings is not None:
                 chain.full()
             self._memo[pattern] = chain
@@ -282,34 +402,75 @@ class ChainStore:
 
     def evaluate(self, pattern: Pattern):
         """(true utility, support) of a pattern, or ``None`` if the store has
-        a threshold and the utility exceeds it."""
-        chain = self.tagged(pattern)
-        if self.threshold is not None and chain.exceeds(self.threshold):
-            return None
-        rows = chain.full()
-        return chain.total, len(rows)
+        a threshold and the utility exceeds it.
 
-    def _scan(self, pattern: Pattern, out: list) -> Iterator:
-        """Append to ``out`` the rows of each holder sequence that contains
-        the pattern, grouped by sequence order, then embedding order, and
-        yield each sequence's sum."""
+        A drained chain answers from its rows, and so does one whose rows
+        pulled so far exceed the threshold. Otherwise the answer is summed
+        without rows (``_sum_embeddings``), once per chain.
+        """
+        chain = self.tagged(pattern)
+        threshold = self.threshold
+        if threshold is not None and chain.total > threshold:
+            return None
+        scan = chain._source
+        if scan is None:
+            return chain.total, len(chain.rows)
+        if scan.totals is _UNSUMMED:
+            scan.totals = self._sum_embeddings(chain, scan)
+        return scan.totals
+
+    def _sum_embeddings(self, chain: LazyChain, scan: _HolderScan):
+        """(utility, support) over every embedding of a chain's pattern,
+        without further rows; ``None`` as soon as the utility exceeds the
+        store's threshold.
+
+        The rows pulled so far are whole holders' rows, so the sum starts
+        from their total and count and goes on from the scan's next holder.
+        Holders there that do not hold the pattern are skipped by the scan
+        as well, so a later pull does not test them again. A holder's
+        leftmost greedy match is one of its embeddings, so that embedding's
+        utility alone may show the threshold exceeded. When the rightmost
+        match equals it, it is the holder's only embedding; any other holder
+        is summed by ``_embedding_totals``.
+        """
+        limit = inf if self.threshold is None else self.threshold
         sequences = self.db.sequences
-        for k in self._holders(pattern):
-            seq = sequences[k]
-            embeddings = enumerate_embeddings(
-                pattern, seq, self.index, self.max_embeddings
-            )
-            if not embeddings:
+        pattern, holders = scan.pattern, scan.holders
+        depths = None
+        utility, support = chain.total, len(chain.rows)
+        for i in range(scan.start, len(holders)):
+            seq = sequences[holders[i]]
+            matches = greedy_matches(pattern, seq, self.index)
+            if matches is None:
+                if i == scan.start:
+                    scan.start += 1
                 continue
-            utils = self._utils.get(k)
-            if utils is None:
-                utils = self._utils[k] = self.db.sequence_utilities(seq)
-            self.rows_pulled += len(embeddings)
-            total = _append_rows(out, seq.sid, embeddings, utils)
-            # A suspended scan keeps its locals alive; dropping the list of
-            # embeddings leaves a partly pulled chain holding only its rows.
-            del embeddings
-            yield total
+            left, right, _ = matches
+            utils = self._sequence_utilities(holders[i])
+            first = sum(map(utils.__getitem__, left))
+            if utility + first > limit:
+                return None
+            if left == right:
+                utility += first
+                support += 1
+                continue
+            if depths is None:
+                depths = _depths(pattern)
+            totals = _embedding_totals(
+                seq.items, utils, left, right, depths, limit - utility
+            )
+            if totals is None:
+                return None
+            utility += totals[0]
+            support += totals[1]
+        return utility, support
+
+    def _sequence_utilities(self, k: int) -> tuple:
+        """The per-position utilities of ``db.sequences[k]``, computed once."""
+        utils = self._utils.get(k)
+        if utils is None:
+            utils = self._utils[k] = self.db.sequence_utilities(self.db.sequences[k])
+        return utils
 
     def _holders(self, pattern: Pattern):
         """Ascending indices into ``db.sequences`` of the sequences that hold

@@ -41,8 +41,8 @@ is a lower bound on the true utility of every pattern in its subtree, so the
 skipped ones cannot be results. Deferring the evaluation, rather than
 skipping against the bounds seen so far, keeps the set of evaluated patterns
 independent of the order of the roots. The store evaluates a candidate
-against the threshold, pulling its chain only until its utility exceeds it
-(see ``chains``); a result's chain is pulled to its end.
+against the threshold without building its rows, stopping once its utility
+exceeds it (see ``chains``).
 """
 
 from __future__ import annotations

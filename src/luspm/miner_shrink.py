@@ -7,12 +7,12 @@ children are first screened by its restricted sum (the lower bound LBS) so
 most true-utility evaluations are skipped, and positions whose frozen-prefix
 lower bound exceeds the threshold are removed wholesale (``_prune_item``).
 
-Every decision reads a lazy chain (``chains.LazyChain``) through a threshold
-question: ``ChainStore.evaluate`` answers a pattern's exact (utility,
-support), or ``None`` once its utility exceeds the threshold; a carried
-chain answers whether its restricted total exceeds it (``exceeds``) and
-which positions' frozen-prefix bounds do (``marked``); and children are
-lazy restrictions of it. Each question pulls rows only until it is
+Every decision is a threshold question: ``ChainStore.evaluate`` answers a
+pattern's exact (utility, support), summed without rows, or ``None`` once
+its utility exceeds the threshold; a carried lazy chain
+(``chains.LazyChain``) answers whether its restricted total exceeds it
+(``exceeds``) and which positions' frozen-prefix bounds do (``marked``); and
+children are lazy restrictions of it. Each question reads only until it is
 decided, and its answer is the full chain's, so the search takes the same
 path, evaluates the same patterns in the same order and reports the same
 skips and prunes as on fully built chains.

@@ -116,6 +116,43 @@ def is_subsequence(shorter: Pattern, longer: Pattern) -> bool:
     return all(item in it for item in shorter)
 
 
+def greedy_matches(
+    pattern: Pattern, seq: QSequence, index: BitIndex | None = None
+) -> tuple[list[int], list[int], dict[int, tuple[int, ...]]] | None:
+    """The leftmost and the rightmost greedy match of the pattern in the
+    sequence, each the list of its matched positions, and the sequence's
+    positions per item; ``None`` when the sequence does not hold the
+    pattern.
+
+    The leftmost match is found by C-level ``tuple.index`` calls, and without
+    one the sequence does not hold the pattern; the rightmost by bisecting
+    the position lists from the end. Every embedding's ``d``-th position lies
+    between the two matches' ``d``-th positions, so when they are equal the
+    embedding is unique.
+    """
+    if not pattern:
+        raise ValueError("pattern must be non-empty")
+    items = index.items[seq.sid] if index is not None else seq.items
+    left = []
+    j = -1
+    find = items.index
+    try:
+        for item in pattern:
+            j = find(item, j + 1)
+            left.append(j)
+    except ValueError:
+        return None
+    where = index.positions[seq.sid] if index is not None else _item_positions(items)
+    right = []
+    j = len(items)
+    for item in reversed(pattern):
+        pl = where[item]
+        j = pl[bisect_left(pl, j) - 1]
+        right.append(j)
+    right.reverse()
+    return left, right, where
+
+
 def enumerate_embeddings(
     pattern: Pattern,
     seq: QSequence,
@@ -126,37 +163,14 @@ def enumerate_embeddings(
     each is the tuple of strictly increasing positions matched, one per
     pattern element. Empty when the sequence does not hold the pattern.
 
-    The leftmost greedy match is found first, by C-level ``tuple.index``
-    calls; without one the sequence does not hold the pattern. Every
-    embedding's ``d``-th position lies between the ``d``-th positions of the
-    leftmost and the rightmost greedy match, so when the two are equal the
-    embedding is unique. Otherwise the embeddings are built one pattern
-    position at a time, without recursion, from the positions between them.
+    A lone embedding is emitted from ``greedy_matches`` directly. Otherwise
+    the embeddings are built one pattern position at a time, without
+    recursion, from the positions between the two greedy matches.
     """
-    if not pattern:
-        raise ValueError("pattern must be non-empty")
-    if index is not None:
-        items = index.items[seq.sid]
-        where = index.positions[seq.sid]
-    else:
-        items = seq.items
-        where = _item_positions(items)
-    left = []
-    j = -1
-    find = items.index
-    try:
-        for item in pattern:
-            j = find(item, j + 1)
-            left.append(j)
-    except ValueError:
+    matches = greedy_matches(pattern, seq, index)
+    if matches is None:
         return []
-    right = []
-    j = len(items)
-    for item in reversed(pattern):
-        pl = where[item]
-        j = pl[bisect_left(pl, j) - 1]
-        right.append(j)
-    right.reverse()
+    left, right, where = matches
     if left == right:
         embeddings = [tuple(left)]
     else:

@@ -157,11 +157,12 @@ class TestChainStore:
         records = mine_baseline(ref_db, MiningConfig(min_util=10**9)).records
         for r in records:
             assert store.evaluate(r.pattern) == (r.utility, r.support)
-        # A second call reads the memoized chain's total and rows: it neither
-        # builds a chain nor scans the database again.
+        # A second call reads the memoized answer: it neither builds a chain
+        # nor scans the database again, for rows or for totals.
         built = store.counter.count
         with monkeypatch.context() as m:
             m.setattr(chains, "enumerate_embeddings", None)
+            m.setattr(chains, "greedy_matches", None)
             for r in records:
                 assert store.evaluate(r.pattern) == (r.utility, r.support)
         assert store.counter.count == built
@@ -175,6 +176,84 @@ class TestChainStore:
             chain = store.chain(r.pattern)
             assert chain.support == r.support
             assert compute_utility(chain) == r.utility
+
+
+class TestTotalsScan:
+    def test_evaluate_sums_without_rows(self):
+        # Alphabets of 1-3 items over sequences of up to 10 positions repeat
+        # items, so most holders have several embeddings; odd seeds use
+        # Fraction utilities, and every third store has no index. At
+        # thresholds below, at and above each reference total, a store
+        # answers None exactly when the total exceeds the threshold, and
+        # otherwise the total and the embedding count, reading no rows. The
+        # chain's rows, pulled afterwards, are still every embedding's.
+        several = fractions = unindexed = exceeded = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            db = generate_synthetic(rng.randint(1, 5), rng.randint(1, 3), 1, 10, 4, 4, seed)
+            if seed % 2:
+                thirds = {i: Fraction(v, 3) for i, v in db.utilities.values.items()}
+                db = QSequenceDatabase(db.sequences, ExternalUtilityTable(thirds))
+            index = None if seed % 3 == 0 else build_bit_index(db)
+            patterns = {(1,) * rng.randint(1, 6) for _ in range(3)}
+            for seq in db.sequences:
+                k = rng.randint(1, len(seq))
+                patterns.add(tuple(seq.items[j] for j in sorted(rng.sample(range(len(seq)), k))))
+            for p in sorted(patterns):
+                rows = _reference_rows(db, p)
+                total = rows_total(rows)
+                for t in (*_thresholds([total]), total + 1, None):
+                    store = ChainStore(db, index, UtilityCounter(), threshold=t)
+                    expected = None if t is not None and total > t else (total, len(rows))
+                    assert store.evaluate(p) == expected, (seed, p, t)
+                    assert store.rows_pulled == 0
+                    assert store.counter.count == 1
+                    assert store.rows(p) == rows
+                    exceeded += expected is None
+                several += len(rows) > len({sid for sid, _, _ in rows})
+                fractions += isinstance(total, Fraction)
+                unindexed += index is None
+        assert several and fractions and unindexed and exceeded
+
+    def test_partly_pulled_chains_sum_the_rest(self):
+        # After a row question pulled the first holders' rows, evaluate sums
+        # the remaining holders on top of those rows, exactly.
+        partial = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            db = generate_synthetic(rng.randint(2, 6), rng.randint(1, 3), 1, 8, 4, 4, seed)
+            seq = rng.choice(db.sequences)
+            k = rng.randint(1, len(seq))
+            p = tuple(seq.items[j] for j in sorted(rng.sample(range(len(seq)), k)))
+            rows = _reference_rows(db, p)
+            total = rows_total(rows)
+            for pull in range(len(rows) + 1):
+                for t in (total, None):
+                    store = ChainStore(db, build_bit_index(db), threshold=t)
+                    chain = store.tagged(p)
+                    chain.exceeds(rows_total(rows[:pull]) - 1)
+                    pulled = len(chain.rows)
+                    assert store.evaluate(p) == (total, len(rows))
+                    assert store.rows_pulled == pulled
+                    assert store.rows(p) == rows
+                    partial += 0 < pulled < len(rows)
+        assert partial
+
+    def test_drained_and_exceeding_chains_answer_from_rows(self, monkeypatch):
+        # Once a chain is drained, or its pulled rows exceed the threshold,
+        # evaluate reads no sequence again.
+        db = generate_synthetic(6, 2, 6, 10, 4, 4, 2)
+        pattern = db.sequences[0].items[:3]
+        rows = _reference_rows(db, pattern)
+        total = rows_total(rows)
+        drained = ChainStore(db, build_bit_index(db), threshold=total)
+        drained.rows(pattern)
+        first = ChainStore(db, build_bit_index(db), threshold=0)
+        assert first.tagged(pattern).exceeds(0)
+        monkeypatch.setattr(chains, "enumerate_embeddings", None)
+        monkeypatch.setattr(chains, "greedy_matches", None)
+        assert drained.evaluate(pattern) == (total, len(rows))
+        assert first.evaluate(pattern) is None
 
 
 def _lazy(rows) -> LazyChain:
@@ -232,7 +311,8 @@ class TestPrefixBounds:
 
     def test_one_row_equals_column_bound_for_every_prefix(self):
         # One row takes the lone-row path: each bound is a prefix sum plus
-        # one entry, in int and in Fraction utilities alike.
+        # one entry, in int and in Fraction utilities alike. A drained chain
+        # reads it from the row's utility tuple alone.
         rng = random.Random(1)
         for width in range(1, 7):
             pos = tuple(sorted(rng.sample(range(12), width)))
@@ -246,9 +326,10 @@ class TestPrefixBounds:
                         column_bound(rows, [*range(p), i]) for i in range(p, width)
                     ]
                     for t in _thresholds(bounds):
-                        assert _lazy(rows).marked(p, width, t) == [
-                            i for i, b in enumerate(bounds, p) if b > t
-                        ]
+                        expected = [i for i, b in enumerate(bounds, p) if b > t]
+                        assert _lazy(rows).marked(p, width, t) == expected
+                        drained = LazyChain(rows, None, rows_total(rows))
+                        assert drained.marked(p, width, t) == expected
 
 
 class TestLazyChain:
@@ -283,6 +364,29 @@ class TestLazyChain:
                 assert store.rows_pulled == len(rows)
                 assert (b.total, a.total) == (rows_total(twice), rows_total(once))
         assert collapsed > 0 and partial > 0
+
+
+    def test_drained_one_row_restricts_without_a_source(self):
+        # A drained one-row chain restricts to a drained one-row chain with
+        # its total, equal to the row kernels' restriction, in int and in
+        # Fraction utilities alike; so do its restrictions in turn.
+        rng = random.Random(2)
+        for width in range(1, 7):
+            pos = tuple(sorted(rng.sample(range(12), width)))
+            for util in (
+                tuple(rng.randint(1, 9) for _ in pos),
+                tuple(Fraction(rng.randint(1, 9), 3) for _ in pos),
+            ):
+                rows = ((5, pos, util),)
+                chain = _lazy(rows)
+                chain.full()
+                while chain.rows[0][1]:
+                    n = len(chain.rows[0][1])
+                    keep = sorted(rng.sample(range(n), rng.randint(0, n - 1)))
+                    expected = restrict_rows(chain.rows, keep)
+                    chain = chain.restrict(keep)
+                    assert chain._source is None
+                    assert (chain.rows, chain.total) == (expected, rows_total(expected))
 
 
 def _reference_rows(db, pattern) -> tuple:

@@ -227,6 +227,19 @@ class TestAdmission:
         assert result.as_set() == mine_baseline(db, cfg).as_set()
         assert len(result) == n
 
+    def test_many_copies_are_evaluated_without_rows(self):
+        # 60 copies of one item: a^k has C(60, k) embeddings, about 10^17 at
+        # k = 30. The root's one row is all extend reads; each candidate is
+        # summed by the embedding-count DP, which stops once a^k exceeds the
+        # threshold.
+        db = _copies(60)
+        cfg = MiningConfig(min_util=10**9)
+        expected = mine_baseline(db, cfg).as_set()
+        assert 0 < len(expected) < 60
+        miner = miner_extend._ExtendMiner(db, cfg, None, None)
+        assert miner.run().as_set() == expected
+        assert miner.store.rows_pulled == 1
+
     def test_repeated_item_below_a_cutting_threshold(self, monkeypatch):
         # Long prefixes of the root exceed 12 and are cut by the rows regime;
         # dropping positions brings subtrees within 12, which are admitted.

@@ -28,6 +28,7 @@ from luspm import (
     mine_shrink,
 )
 from luspm.chains import LazyChain
+from luspm.miner_extend import _ExtendMiner
 from luspm.miner_shrink import _ShrinkMiner
 
 from conftest import random_database
@@ -335,11 +336,27 @@ class TestLaziness:
         assert everything == 9206
         assert pulled <= 9064 // 4
 
-    def test_results_are_pulled_to_their_end(self):
-        # Every pattern of 11 copies of one item is a result, so each chain
-        # is pulled in full: C(11, k) rows for k copies, 2^11 - 1 in all.
+    def test_results_are_summed_without_rows(self):
+        # Every pattern of 11 copies of one item is a result, and its chain
+        # holds C(11, k) rows for k copies, 2^11 - 1 in all. Evaluation sums
+        # them without rows: the only row pulled is the root's own lone
+        # embedding, read by root construction.
         rng = random.Random(0)
         db = _repeated_db([[(1, rng.randint(1, 3)) for _ in range(11)]], [1])
-        miner = _ShrinkMiner(db, MiningConfig(min_util=10**9), None, None)
-        assert len(miner.run()) == 11
-        assert miner.store.rows_pulled == 2047
+        cfg = MiningConfig(min_util=10**9)
+        miner = _ShrinkMiner(db, cfg, None, None)
+        assert miner.run().as_set() == mine_baseline(db, cfg).as_set()
+        assert miner.store.rows_pulled == 1
+
+    def test_many_copies_need_no_rows(self):
+        # 18 copies of one item: 2^18 - 1 embeddings over 18 results. Both
+        # miners return the baseline's results from at most one row.
+        rng = random.Random(0)
+        db = _repeated_db([[(1, rng.randint(1, 3)) for _ in range(18)]], [1])
+        cfg = MiningConfig(min_util=10**9)
+        expected = mine_baseline(db, cfg).as_set()
+        assert len(expected) == 18
+        for miner_class in (_ShrinkMiner, _ExtendMiner):
+            miner = miner_class(db, cfg, None, None)
+            assert miner.run().as_set() == expected
+            assert miner.store.rows_pulled <= 1
