@@ -13,6 +13,14 @@ embedding count times the position's utility. The sums are exact (``int`` or
 at a cost set by the number of distinct subsequences: n copies of one item
 take about n²/2 steps over n patterns, not 2^n position subsets. The program
 shares no code with the chain layer the other miners search.
+
+Patterns are integer ids in a prefix trie (the lexicographic sequence tree of
+USpan, Yin, Zheng and Cao, KDD 2012): id ``g`` is pattern ``parent[g]``
+followed by ``item[g]``, and id 0 is the empty pattern. Totals live in lists
+indexed by id, and within a sequence by a local id in creation order, so a
+step of the program is a few list reads and writes, with no pattern tuple and
+no totals tuple built. A pattern's item tuple is built only for the ids kept
+in the result.
 """
 
 from __future__ import annotations
@@ -91,68 +99,97 @@ def enumerate_all_subsequences(
 ) -> set[Pattern]:
     """All distinct non-empty subsequences (as item sequences) of all database
     sequences, length-capped during generation."""
-    return set(_aggregate_candidates(db, max_len, cap))
+    parent, item, _, _ = _aggregate_candidates(db, max_len, cap)
+    patterns = [()]
+    for g in range(1, len(parent)):
+        patterns.append(patterns[parent[g]] + (item[g],))
+    return set(patterns[1:])
 
 
 def _aggregate_candidates(db, max_len, cap):
-    """(utility sum, embedding count) of every distinct pattern of length at
-    most ``max_len``, over every embedding in every sequence.
+    """The trie of every distinct pattern of length at most ``max_len``, with
+    its utility sum and embedding count over every embedding in every
+    sequence, as the lists ``(parent, item, ut, cnt)`` indexed by trie id.
 
-    Each sequence is swept once, left to right, keeping the totals of the
-    patterns of the positions seen so far. The embeddings of ``p + (x,)``
-    that end at a position holding ``x`` with utility ``u`` are ``p``'s
-    earlier embeddings, each extended by that position, so ``p``'s
-    ``(ut, cnt)`` adds ``(ut + cnt * u, cnt)`` to ``p + (x,)``, and ``(x,)``
-    gains ``(u, 1)``. The sequence's totals are then added to the database's.
-    Every embedding is counted once, in the totals of the pattern it
-    induces, so the sums are the exact utility and support: repeated
-    embeddings are summed rather than listed, and nothing is pruned.
+    Pattern ``g`` is pattern ``parent[g]`` followed by ``item[g]``; id 0 is
+    the empty pattern, and a child's id is larger than its parent's.
 
-    ``CandidateCapExceeded`` is raised exactly when more than ``cap`` distinct
-    patterns exist. One sequence's patterns never outnumber the union after
-    its merge, so checking them as they appear raises no earlier, and keeps a
-    single long sequence from growing unbounded before its merge.
+    Each sequence is swept once, left to right. Every distinct pattern of the
+    positions seen so far has a local id, in creation order, holding its trie
+    id and its sequence's ``(ut, cnt)``; local 0 is the empty pattern, with
+    count 1. ``kid[x][l]`` is the local id of ``l``'s ``x``-extension, or 0
+    (no pattern's extension) when ``l`` is already ``max_len`` long. The
+    embeddings of ``l + x`` that end at a position holding ``x`` with utility
+    ``u`` are ``l``'s earlier embeddings, each extended by that position, so
+    ``l`` adds ``(ut + cnt * u, cnt)`` to ``l + x``. At such a position:
+
+    1. The local ids from ``len(kid[x])`` on are the patterns created since
+       ``x`` last occurred. None has an ``x``-extension yet, so each gets a
+       new one holding just these embeddings.
+    2. Every older local id then adds to its existing ``x``-extension,
+       walked in descending order: an extension's local id is larger than
+       its parent's, so each parent is read before it gains this position's
+       embeddings as an extension itself.
+
+    The empty pattern's extension is the singleton, which gains ``(u, 1)``.
+    At the sequence's end its local totals are added to the trie's. Every
+    embedding is counted once, in the totals of the pattern it induces, so
+    the sums are the exact utility and support: repeated embeddings are
+    summed rather than listed, and nothing is pruned. No tuple is built per
+    step.
+
+    ``CandidateCapExceeded`` is raised when a new trie id exceeds ``cap``,
+    that is exactly when more than ``cap`` distinct patterns exist, as soon
+    as one appears, even inside a single long sequence.
     """
     limit = inf if cap is None else cap
-    longest = inf if max_len is None else max_len
-    acc: dict[Pattern, tuple] = {}
+    parent, item, depth, ut, cnt = [0], [None], [0], [0], [0]
+    children: dict = {}  # item -> {parent id: child id}
     for seq in db.sequences:
-        local: dict[Pattern, tuple] = {}
-        get = local.get
+        longest = len(seq) if max_len is None else max_len
+        tid, lut, lcnt = [0], [0], [1]
+        kid: dict = {}
         for x, u in zip(seq.items, db.sequence_utilities(seq)):
-            # Only the patterns from before this position are extended: the
-            # key list is taken first. ``p + (x,)`` was created by extending
-            # ``p``, so it comes after ``p`` in insertion order, and walking
-            # that order backwards reads each pattern's totals before this
-            # position adds to them.
-            for p in reversed(list(local)):
-                if len(p) < longest:
-                    ut, cnt = local[p]
-                    key = p + (x,)
-                    entry = get(key)
-                    if entry is None:
-                        if len(local) >= limit:
-                            raise _cap_exceeded(cap)
-                        local[key] = (ut + cnt * u, cnt)
-                    else:
-                        local[key] = (entry[0] + ut + cnt * u, entry[1] + cnt)
-            key = (x,)
-            entry = get(key)
-            if entry is None:
-                if len(local) >= limit:
-                    raise _cap_exceeded(cap)
-                local[key] = (u, 1)
-            else:
-                local[key] = (entry[0] + u, entry[1] + 1)
-        # Merge the smaller dict into the larger.
-        if len(local) > len(acc):
-            acc, local = local, acc
-        for p, (ut, cnt) in local.items():
-            entry = acc.get(p)
-            acc[p] = (ut, cnt) if entry is None else (entry[0] + ut, entry[1] + cnt)
-        if len(acc) > limit:
-            raise _cap_exceeded(cap)
-    return acc
+            ks = kid.get(x)
+            if ks is None:
+                ks = kid[x] = []
+            xs = children.get(x)
+            if xs is None:
+                xs = children[x] = {}
+            m = len(ks)
+            # 1. Patterns created since ``x`` last occurred: new extensions.
+            for l in range(m, len(tid)):
+                g = tid[l]
+                if depth[g] >= longest:
+                    ks.append(0)
+                    continue
+                c = xs.get(g)
+                if c is None:
+                    c = xs[g] = len(parent)
+                    if c > limit:
+                        raise _cap_exceeded(cap)
+                    parent.append(g)
+                    item.append(x)
+                    depth.append(depth[g] + 1)
+                    ut.append(0)
+                    cnt.append(0)
+                ks.append(len(tid))
+                tid.append(c)
+                k = lcnt[l]
+                lut.append(lut[l] + k * u)
+                lcnt.append(k)
+            # 2. Older patterns, descending: add to their extensions.
+            for l in range(m - 1, -1, -1):
+                c = ks[l]
+                if c:
+                    k = lcnt[l]
+                    lut[c] += lut[l] + k * u
+                    lcnt[c] += k
+        for l in range(1, len(tid)):
+            g = tid[l]
+            ut[g] += lut[l]
+            cnt[g] += lcnt[l]
+    return parent, item, ut, cnt
 
 
 def _cap_exceeded(cap: int) -> CandidateCapExceeded:
@@ -168,19 +205,36 @@ def mine_baseline(
     """Evaluate the true utility of every candidate; keep those with
     0 < utility <= min_util and length <= max_len."""
     min_util = resolve_min_util(cfg, db)
-    acc = _aggregate_candidates(db, cfg.max_len, cap)
+    parent, item, ut, cnt = _aggregate_candidates(db, cfg.max_len, cap)
     if counter is not None:
-        counter.increment(len(acc))
+        counter.increment(len(parent) - 1)
     # An int utility is at most ``min_util`` exactly when it is at most its
     # floor, which spares a ``Fraction`` comparison per candidate under a
     # sigma threshold; any other utility is compared with ``min_util`` itself.
+    # The empty pattern's total is 0, so it is never kept. Item tuples are
+    # built only for kept ids: ids ascend and a parent's id is smaller than
+    # its child's, so a kept parent is built first, and a parent that is not
+    # is built, with its unbuilt ancestors, by walking up ``parent``.
     whole = floor(min_util)
-    records = [
-        LuspRecord(pattern, utility, sup)
-        for pattern, (utility, sup) in acc.items()
-        if 0 < utility
-        and (utility <= whole if type(utility) is int else utility <= min_util)
-    ]
+    built = [None] * len(parent)
+    built[0] = ()
+    records = []
+    for g, utility in enumerate(ut):
+        if 0 < utility and (
+            utility <= whole if type(utility) is int else utility <= min_util
+        ):
+            q = parent[g]
+            pattern = built[q]
+            if pattern is None:
+                path = []
+                while pattern is None:
+                    path.append(q)
+                    q = parent[q]
+                    pattern = built[q]
+                for h in reversed(path):
+                    pattern = built[h] = pattern + (item[h],)
+            pattern = built[g] = pattern + (item[g],)
+            records.append(LuspRecord(pattern, utility, cnt[g]))
     return LuspResult.from_records(records, min_util, cfg.max_len)
 
 

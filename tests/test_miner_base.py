@@ -177,6 +177,23 @@ class TestAgainstSubsetSweep:
         }
         assert result.as_set() == expected
 
+    def test_sequence_order_does_not_matter(self):
+        # Trie ids are handed out in the order patterns first appear, so they
+        # depend on the order of the sequences; the result must not.
+        for seed in range(30):
+            db = random_database(seed)
+            rng = random.Random(seed)
+            cfg = MiningConfig(min_util=rng.choice([3, 8, 20, 60, 10**6]))
+            counter = UtilityCounter()
+            expected = mine_baseline(db, cfg, counter).as_set()
+            shuffled = list(db.sequences)
+            rng.shuffle(shuffled)
+            for order in (db.sequences[::-1], tuple(shuffled)):
+                reordered = QSequenceDatabase(order, db.utilities)
+                other = UtilityCounter()
+                assert mine_baseline(reordered, cfg, other).as_set() == expected, seed
+                assert other.count == counter.count, seed
+
 
 class TestCandidateCap:
     def test_cap_at_the_distinct_count(self, ref_db):
@@ -194,6 +211,25 @@ class TestCandidateCap:
                 enumerate_all_subsequences(ref_db, max_len, cap=count - 1)
             with pytest.raises(CandidateCapExceeded):
                 mine_baseline(ref_db, cfg, cap=count - 1)
+
+    @pytest.mark.parametrize("max_len", [1, 2, 4, None])
+    def test_alternating_runs_under_length_cap(self, max_len):
+        # Runs of two alternating items: an item recurs after patterns that
+        # already extend it, and under a length cap some of those patterns
+        # are too long to extend at all.
+        items = [1, 1, 1, 2, 2, 1, 1, 1, 2, 2, 1, 1, 1, 2]
+        seq = QSequence(0, tuple(QItem(x, 1 + j % 3) for j, x in enumerate(items)))
+        db = QSequenceDatabase((seq,), ExternalUtilityTable({1: 2, 2: 3}))
+        totals = _subset_sweep(db, max_len)
+        count = len(totals)
+        cfg = MiningConfig(min_util=10**9, max_len=max_len)
+        result = mine_baseline(db, cfg, cap=count)
+        assert result.as_set() == _low_utility(totals, 10**9)
+        assert enumerate_all_subsequences(db, max_len, cap=count) == set(totals)
+        with pytest.raises(CandidateCapExceeded):
+            mine_baseline(db, cfg, cap=count - 1)
+        with pytest.raises(CandidateCapExceeded):
+            enumerate_all_subsequences(db, max_len, cap=count - 1)
 
     @pytest.mark.parametrize("items", [range(1, 41), [1, 2] * 20])
     def test_long_sequence_fails_fast(self, items):
