@@ -78,10 +78,6 @@ def restrict_rows(rows: TaggedRows, keep: Sequence[int]) -> TaggedRows:
     """Keep only the given columns, dropping rows that collapse onto an
     already-seen (sid, positions) embedding."""
     take = _columns(keep)
-    if len(rows) == 1:
-        # Most calls carry one row, and one row cannot collapse.
-        ((sid, pos, util),) = rows
-        return ((sid, take(pos), take(util)),)
     out: list[TaggedRow] = []
     seen: set[tuple] = set()
     for sid, pos, util in rows:
@@ -96,8 +92,6 @@ def column_bound(rows: TaggedRows, cols: Sequence[int]):
     """Lower bound (LBS) of the pattern formed by the given columns: entry sum
     over the distinct restricted embeddings."""
     take = _columns(cols)
-    if len(rows) == 1:
-        return sum(take(rows[0][2]))
     total = 0
     seen: set[tuple] = set()
     for sid, pos, util in rows:

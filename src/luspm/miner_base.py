@@ -1,4 +1,5 @@
-"""Exhaustive baseline miner, the shared result model and the node memo.
+"""Exhaustive baseline miner, the shared result model, and the scaffold the
+shrinkage and extension miners search under.
 
 The baseline enumerates every distinct subsequence of every database sequence
 and keeps those with positive utility at most the threshold. It applies no
@@ -25,15 +26,22 @@ in the result.
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, inf
 
+from .chains import ChainStore
 from .errors import CandidateCapExceeded
 from .occurrence import UtilityCounter
-from .seqdb import MiningConfig, Pattern, QSequenceDatabase, resolve_min_util
+from .seqdb import MiningConfig, Pattern, QSequenceDatabase, comparison_threshold, resolve_min_util
+from .shadow import MiningShadow
 
 DEFAULT_CANDIDATE_CAP = 5_000_000
+
+# Frames a search may take beyond two per root position (see ``RootSearch``).
+SEARCH_SLACK = 50
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,83 @@ def first_visit(expanded: dict[Pattern, int], s: Pattern, p: int) -> bool:
         return False
     expanded[s] = done | 1 << p
     return True
+
+
+_recursion_lock = threading.Lock()
+
+
+def _add_to_recursion_limit(frames: int) -> None:
+    """Add ``frames`` to the interpreter's recursion limit, or take them off.
+
+    The limit is interpreter-wide. Saving and restoring an absolute value
+    would let one run lower the limit under another's deep recursion, or
+    leave it raised; relative changes, each read and written under one lock,
+    add up across concurrent runs and undo only their own headroom.
+    """
+    with _recursion_lock:
+        sys.setrecursionlimit(sys.getrecursionlimit() + frames)
+
+
+class RootSearch:
+    """The scaffold of the shrinkage and extension miners: a threshold, a
+    chain store and a node memo, one recursive search per root, the result.
+    A subclass builds the bit index (``_index``) and the roots (``_roots``)
+    through its own module's names, which the benchmark's tracer patches,
+    searches below one root (``_mine_root``) and lists its records once every
+    root is searched (``_records``).
+
+    Every recursive call of either search shortens the pattern ``s`` or
+    advances the cursor ``p``, so ``len(s) - p`` strictly falls along any
+    chain of calls. Shrink's ``_enter`` and extend's ``_descend`` add at most
+    one frame per drop, so below a root of length n a search is at most 2n
+    frames deep, plus the store's and chains' calls at its deepest node. The
+    roots are searched under that much headroom, and no more.
+    """
+
+    def __init__(
+        self,
+        db: QSequenceDatabase,
+        cfg: MiningConfig,
+        counter: UtilityCounter | None,
+        shadow: MiningShadow | None,
+    ):
+        self.min_util = resolve_min_util(cfg, db)
+        # Every comparison is against ``threshold``; the result keeps the
+        # exact ``min_util``.
+        self.threshold = comparison_threshold(self.min_util, db)
+        self.max_len = cfg.max_len
+        self.store = ChainStore(db, self._index(db), counter, threshold=self.threshold)
+        self.shadow = shadow
+        # Pattern -> bitmask of the positions it has been expanded at.
+        self._expanded: dict[Pattern, int] = {}
+        # The patterns the search admits, in first-admission order, each with
+        # the value it was first admitted with.
+        self._admitted: dict[Pattern, object] = {}
+
+    @classmethod
+    def mine(cls, db, cfg, counter, shadow, threads: int) -> LuspResult:
+        # ``threads`` is kept only for perfbench/bench.py's ``threads=1`` call.
+        if threads != 1:
+            raise ValueError(f"threads must be 1, got {threads}")
+        return cls(db, cfg, counter, shadow).run()
+
+    def run(self) -> LuspResult:
+        roots = self._roots()
+        headroom = 2 * max(map(len, roots), default=0) + SEARCH_SLACK
+        _add_to_recursion_limit(headroom)
+        try:
+            for root in roots:
+                self._mine_root(root)
+        finally:
+            _add_to_recursion_limit(-headroom)
+        return LuspResult.from_records(self._records(), self.min_util, self.max_len)
+
+    def _len_ok(self, pattern: Pattern) -> bool:
+        return self.max_len is None or len(pattern) <= self.max_len
+
+    def _admit(self, q: Pattern, value=None) -> None:
+        if self._len_ok(q):
+            self._admitted.setdefault(q, value)
 
 
 def enumerate_all_subsequences(

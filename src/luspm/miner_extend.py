@@ -43,66 +43,43 @@ skipping against the bounds seen so far, keeps the set of evaluated patterns
 independent of the order of the roots. The store evaluates a candidate
 against the threshold without building its rows, stopping once its utility
 exceeds it (see ``chains``).
+
+The threshold, the store, the node memo, the loop over the roots and its
+recursion headroom come from ``miner_base.RootSearch``, as in shrinkage.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 
-from .chains import ChainStore, TaggedRows, column_bound, restrict_rows, rows_total
-from .miner_base import LuspRecord, LuspResult, first_visit
+from .chains import TaggedRows, column_bound, restrict_rows, rows_total
+from .miner_base import LuspRecord, LuspResult, RootSearch, first_visit
 from .occurrence import UtilityCounter, build_bit_index, is_subsequence
 from .preprocess import build_max_non_con_seq_set
-from .seqdb import (
-    MiningConfig,
-    Pattern,
-    QSequenceDatabase,
-    comparison_threshold,
-    resolve_min_util,
-)
+from .seqdb import MiningConfig, Pattern, QSequenceDatabase
 from .shadow import MiningShadow
 
-RECURSION_HEADROOM = 100_000
 
-
-class _ExtendMiner:
-    def __init__(
-        self,
-        db: QSequenceDatabase,
-        cfg: MiningConfig,
-        counter: UtilityCounter | None,
-        shadow: MiningShadow | None,
-    ):
-        self.min_util = resolve_min_util(cfg, db)
-        # Every comparison is against ``threshold``; the result keeps the
-        # exact ``min_util``.
-        self.threshold = comparison_threshold(self.min_util, db)
-        self.max_len = cfg.max_len
-        self.store = ChainStore(
-            db, build_bit_index(db), counter, threshold=self.threshold
-        )
-        self.shadow = shadow
-        # Prefixes some root admitted, in first-admission order, and the cuts
-        # of every root as cut prefix -> residuals; both are filled by the
-        # search, read after it.
-        self._candidates: dict[Pattern, None] = {}
+class _ExtendMiner(RootSearch):
+    def __init__(self, *args):
+        super().__init__(*args)
+        # The cuts of every root, as cut prefix -> residuals. They and the
+        # admitted prefixes are filled by the search and read after it.
         self._cuts: dict[Pattern, list[Pattern]] = {}
-        # Pattern -> bitmask of the positions it has been expanded at.
-        self._expanded: dict[Pattern, int] = {}
 
-    def run(self) -> LuspResult:
-        roots = build_max_non_con_seq_set(self.store, self.threshold).roots
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, RECURSION_HEADROOM))
-        try:
-            for root in roots:
-                chain = self.store.tagged(root)
-                self._descend(root, chain.full(), 0, chain.total)
-        finally:
-            sys.setrecursionlimit(limit)
+    def _index(self, db):
+        return build_bit_index(db)
+
+    def _roots(self):
+        return build_max_non_con_seq_set(self.store, self.threshold).roots
+
+    def _mine_root(self, root: Pattern) -> None:
+        chain = self.store.tagged(root)
+        self._descend(root, chain.full(), 0, chain.total)
+
+    def _records(self):
         records = []
-        for q in self._candidates:
+        for q in self._admitted:
             if self._in_cut_subtree(q):
                 if self.shadow is not None:
                     self.shadow.sluspb_skip(q)
@@ -110,7 +87,7 @@ class _ExtendMiner:
             totals = self.store.evaluate(q)
             if totals is not None:
                 records.append(LuspRecord(q, *totals))
-        return LuspResult.from_records(records, self.min_util, self.max_len)
+        return records
 
     def _in_cut_subtree(self, q: Pattern) -> bool:
         """Whether some cut (P, R) covers ``q``: ``q = P + r`` with ``r`` a
@@ -134,11 +111,11 @@ class _ExtendMiner:
             util = rows[0][2]
             self._extension_row(s, util, p, total, sum(util[:p]))
         else:
-            self._extension(s, rows, p, total)
+            self._extension(s, rows, p)
 
-    def _extension(self, s: Pattern, rows: TaggedRows, p: int, total) -> None:
-        """Rows regime at cursor ``p`` for two or more carried rows;
-        ``total`` is ``rows_total(rows)``, above the threshold."""
+    def _extension(self, s: Pattern, rows: TaggedRows, p: int) -> None:
+        """Rows regime at cursor ``p`` for two or more carried rows, whose
+        total is above the threshold."""
         if p + 1 < len(s):
             # Drop the cursor position for the whole subtree.
             child = restrict_rows(rows, [*range(p), *range(p + 1, len(s))])
@@ -148,7 +125,7 @@ class _ExtendMiner:
             self._cut(s, p)
             return
         if p + 1 < len(s):
-            self._extension(s, rows, p + 1, total)
+            self._extension(s, rows, p + 1)
         self._admit(s[: p + 1])
 
     def _extension_row(self, s: Pattern, util: tuple, p: int, total, head) -> None:
@@ -185,10 +162,6 @@ class _ExtendMiner:
         if self.shadow is not None:
             self.shadow.ebisps_cut(prefix, residual)
 
-    def _admit(self, q: Pattern) -> None:
-        if self.max_len is None or len(q) <= self.max_len:
-            self._candidates[q] = None
-
     def _admit_all(self, s: Pattern, p: int) -> None:
         """Row-free regime at cursor ``p``: admit every ``s[:p] + r``, in
         ``_extension``'s order, once per ``(s, p)``. Each of those is longer
@@ -211,7 +184,4 @@ def mine_extend(
     threads: int = 1,
 ) -> LuspResult:
     """Mine the complete LUSP set by extension; output equals the baseline's."""
-    # ``threads`` is kept only for perfbench/bench.py's ``threads=1`` call.
-    if threads != 1:
-        raise ValueError(f"threads must be 1, got {threads}")
-    return _ExtendMiner(db, cfg, counter, shadow).run()
+    return _ExtendMiner.mine(db, cfg, counter, shadow, threads)

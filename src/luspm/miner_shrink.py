@@ -6,6 +6,8 @@ below one whose utility exceeds it, the ancestor's chain is carried down and
 children are first screened by its restricted sum (the lower bound LBS) so
 most true-utility evaluations are skipped, and positions whose frozen-prefix
 lower bound exceeds the threshold are removed wholesale (``_prune_item``).
+Roots, removal products and screened children all enter through
+``_enter``, which evaluates, records and picks the regime.
 
 Every decision is a threshold question: ``ChainStore.evaluate`` answers a
 pattern's exact (utility, support), summed without rows, or ``None`` once
@@ -25,148 +27,96 @@ every subsequence of ``s`` that keeps ``s[:p]``, and each regime is complete
 for it under any valid lower-bound rows. A second visit, even with another
 root's rows, could only repeat effects that are idempotent: first-wins
 records and memoized evaluations. The node is the ``s`` that enters the call,
-before ``_prune_item`` shrinks it. The memo is kept by
-``miner_base.first_visit``, which the extension miner's row-free regime
-shares.
+before ``_prune_item`` shrinks it.
+
+The threshold, the store, the node memo (``miner_base.first_visit``), the
+loop over the roots and its recursion headroom come from
+``miner_base.RootSearch``, which the extension miner shares. A root within
+the threshold is searched by ``_shrinkage(root, 0)`` alone: that reaches
+every removal product of the root, so a screened pass would repeat work.
 """
 
 from __future__ import annotations
 
-import sys
-
 # ``column_bound`` and ``restrict_rows`` are not called here; they stay
 # imported because the benchmark's tracer (perfbench/tracer.py) patches this
 # module's names for them.
-from .chains import ChainStore, LazyChain, column_bound, restrict_rows
-from .miner_base import LuspRecord, LuspResult, first_visit
+from .chains import LazyChain, column_bound, restrict_rows
+from .miner_base import LuspRecord, LuspResult, RootSearch, first_visit
 from .occurrence import UtilityCounter, build_bit_index
 from .preprocess import build_max_non_con_seq_set
-from .seqdb import (
-    MiningConfig,
-    Pattern,
-    QSequenceDatabase,
-    comparison_threshold,
-    resolve_min_util,
-)
+from .seqdb import MiningConfig, Pattern, QSequenceDatabase
 from .shadow import MiningShadow
 
-RECURSION_HEADROOM = 100_000
 
+class _ShrinkMiner(RootSearch):
+    def _index(self, db):
+        return build_bit_index(db)
 
-class _ShrinkMiner:
-    def __init__(
-        self,
-        db: QSequenceDatabase,
-        cfg: MiningConfig,
-        counter: UtilityCounter | None,
-        shadow: MiningShadow | None,
-    ):
-        self.min_util = resolve_min_util(cfg, db)
-        # Every comparison is against ``threshold``; the result keeps the
-        # exact ``min_util``.
-        self.threshold = comparison_threshold(self.min_util, db)
-        self.max_len = cfg.max_len
-        self.store = ChainStore(
-            db, build_bit_index(db), counter, threshold=self.threshold
-        )
-        self.shadow = shadow
-        self._sink: dict[Pattern, tuple] = {}
-        # Pattern -> bitmask of the positions it has been expanded at.
-        self._expanded: dict[Pattern, int] = {}
+    def _roots(self):
+        return build_max_non_con_seq_set(self.store, self.threshold).roots
 
-    def run(self) -> LuspResult:
-        roots = build_max_non_con_seq_set(self.store, self.threshold).roots
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, RECURSION_HEADROOM))
-        try:
-            for root in roots:
-                self._mine_root(root)
-        finally:
-            sys.setrecursionlimit(limit)
-        records = [LuspRecord(p, u, s) for p, (u, s) in self._sink.items()]
-        return LuspResult.from_records(records, self.min_util, self.max_len)
-
-    def _len_ok(self, pattern: Pattern) -> bool:
-        return self.max_len is None or len(pattern) <= self.max_len
-
-    def _record(self, pattern: Pattern, utility, support: int) -> None:
-        self._sink.setdefault(pattern, (utility, support))
+    def _records(self):
+        return [LuspRecord(p, u, s) for p, (u, s) in self._admitted.items()]
 
     def _mine_root(self, root: Pattern) -> None:
-        totals = self.store.evaluate(root)
+        self._enter(root, 0)
+
+    def _enter(self, q: Pattern, p: int) -> None:
+        """Evaluate the non-empty ``q``, record it if it is a result, and
+        search below cursor ``p`` in the regime its utility calls for."""
+        totals = self.store.evaluate(q)
         if totals is not None:
-            # ``_shrinkage(root, 0)`` reaches every removal product of the
-            # root, so a lower-bound-screened pass from it would repeat work.
-            self._shrinkage(root, 0)
-            if self._len_ok(root):
-                self._record(root, *totals)
-        else:
-            self._shrinkage_depth(root, self.store.tagged(root), 0)
+            self._admit(q, totals)
+            if p < len(q):
+                self._shrinkage(q, p)
+        elif p < len(q):
+            self._shrinkage_depth(q, self.store.tagged(q), p)
 
     def _shrinkage(self, s: Pattern, p: int) -> None:
+        """Exact regime at cursor ``p < len(s)``: keep position ``p``, then
+        remove it."""
         if not first_visit(self._expanded, s, p):
             return
         if p + 1 < len(s):
             self._shrinkage(s, p + 1)
-        if p < len(s):
-            q = s[:p] + s[p + 1 :]
-            if not q:
-                return
-            totals = self.store.evaluate(q)
-            if totals is not None:
-                if p < len(q):
-                    self._shrinkage(q, p)
-                if self._len_ok(q):
-                    self._record(q, *totals)
-            elif p < len(q):
-                self._shrinkage_depth(q, self.store.tagged(q), p)
+        if len(s) > 1:
+            self._enter(s[:p] + s[p + 1 :], p)
 
     def _shrinkage_depth(self, s: Pattern, chain: LazyChain, p: int) -> None:
+        """Depth regime at cursor ``p < len(s)``; ``chain`` is the chain of
+        an ancestor whose utility exceeds the threshold, restricted to ``s``."""
         if not first_visit(self._expanded, s, p):
             return
-        if p < len(s):
-            s, chain, pruned = self._prune_item(s, chain, p)
-            if pruned and s:
-                # The survivor is itself a removal product (its marked
-                # positions were deleted en masse), so it gets the same
-                # lower-bound-gated evaluation a remove branch would apply.
-                # Its proper subsets are covered by the recursion below.
-                self._screen(s, chain)
+        s, chain, pruned = self._prune_item(s, chain, p)
+        if pruned and s and self._screen(s, chain):
+            # The survivor is itself a removal product (its marked positions
+            # were deleted en masse), so it gets the same lower-bound-gated
+            # evaluation a remove branch would apply; entered at its end, it
+            # is not searched below, as the recursion here covers its subsets.
+            self._enter(s, len(s))
         if p + 1 < len(s):
             self._shrinkage_depth(s, chain, p + 1)
-        if p >= len(s):
+        if p >= len(s) or len(s) == 1:
             return
         q = s[:p] + s[p + 1 :]
-        if not q:
-            return
         child = chain.restrict([*range(p), *range(p + 1, len(s))])
-        if self._len_ok(q):
-            if not child.exceeds(self.threshold):
-                totals = self.store.evaluate(q)
-                if totals is not None:
-                    self._record(q, *totals)
-                    self._shrinkage(q, p)
-                elif p < len(q):
-                    self._shrinkage_depth(q, self.store.tagged(q), p)
-            else:
-                if self.shadow is not None:
-                    self.shadow.sluspb_skip(q)
-                if p < len(q):
-                    self._shrinkage_depth(q, child, p)
+        if self._screen(q, child):
+            self._enter(q, p)
         elif p < len(q):
             self._shrinkage_depth(q, child, p)
 
-    def _screen(self, q: Pattern, chain: LazyChain) -> None:
-        """Lower-bound-gated evaluation of one candidate, without recursion."""
+    def _screen(self, q: Pattern, chain: LazyChain) -> bool:
+        """Whether ``q`` is within the length cap and its lower bound, the
+        total of ``chain``, within the threshold; a bound above it skips
+        ``q``'s evaluation."""
         if not self._len_ok(q):
-            return
+            return False
         if chain.exceeds(self.threshold):
             if self.shadow is not None:
                 self.shadow.sluspb_skip(q)
-            return
-        totals = self.store.evaluate(q)
-        if totals is not None:
-            self._record(q, *totals)
+            return False
+        return True
 
     def _prune_item(
         self, s: Pattern, chain: LazyChain, p: int
@@ -190,7 +140,4 @@ def mine_shrink(
     threads: int = 1,
 ) -> LuspResult:
     """Mine the complete LUSP set by shrinkage; output equals the baseline's."""
-    # ``threads`` is kept only for perfbench/bench.py's ``threads=1`` call.
-    if threads != 1:
-        raise ValueError(f"threads must be 1, got {threads}")
-    return _ShrinkMiner(db, cfg, counter, shadow).run()
+    return _ShrinkMiner.mine(db, cfg, counter, shadow, threads)

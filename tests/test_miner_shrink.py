@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -360,3 +362,99 @@ class TestLaziness:
             miner = miner_class(db, cfg, None, None)
             assert miner.run().as_set() == expected
             assert miner.store.rows_pulled <= 1
+
+
+def _distinct(n):
+    """One sequence of n distinct items, each of utility 1."""
+    return _repeated_db([[(i, 1) for i in range(1, n + 1)]], [1] * n)
+
+
+def _depth():
+    """The number of frames on the calling thread's stack."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+class _Pause(MiningShadow):
+    """Calls ``hook`` at every lower-bound skip until it returns true."""
+
+    def __init__(self, hook):
+        self.hook = hook
+
+    def sluspb_skip(self, pattern):
+        if self.hook is not None and self.hook():
+            self.hook = None
+
+
+class TestRecursionGuard:
+    def test_concurrent_runs_keep_each_others_headroom(self):
+        # A shallow run starts first and returns while a deep run is more
+        # than 1000 frames down. The shallow run must not take away the
+        # deep run's headroom, and the limit must end where it started.
+        # Every skip of either run happens inside its search.
+        start = sys.getrecursionlimit()
+        shallow_started, deep_is_deep, shallow_done = (threading.Event() for _ in range(3))
+        results, errors = {}, []
+
+        def wait_for_deep_run():
+            shallow_started.set()
+            assert deep_is_deep.wait(60)
+            return True
+
+        def pause_when_deep():
+            if _depth() <= 1000:
+                return False
+            deep_is_deep.set()
+            assert shallow_done.wait(60)
+            return True
+
+        def run(name, n, hook, done=None):
+            try:
+                results[name] = mine_shrink(_distinct(n), MiningConfig(min_util=1),
+                                            shadow=_Pause(hook))
+            except BaseException as exc:  # reported by the main thread
+                errors.append((name, exc))
+            finally:
+                if done is not None:
+                    done.set()
+
+        shallow = threading.Thread(
+            target=run, args=("shallow", 5, wait_for_deep_run, shallow_done)
+        )
+        deep = threading.Thread(target=run, args=("deep", 1500, pause_when_deep))
+        try:
+            shallow.start()
+            assert shallow_started.wait(60)
+            deep.start()
+            shallow.join()
+            deep.join()
+            assert not errors, errors
+            assert deep_is_deep.is_set()
+            for name, n in (("shallow", 5), ("deep", 1500)):
+                expected = {((i,), 1, 1) for i in range(1, n + 1)}
+                assert results[name].as_set() == expected
+            assert sys.getrecursionlimit() == start
+        finally:
+            sys.setrecursionlimit(start)
+
+    def test_long_inputs_mine_under_a_tight_limit(self):
+        # The headroom comes from the roots' lengths, so 1500 positions mine
+        # from a caller with 60 frames to spare. Shrink is not run on 1500
+        # copies of one item: it takes minutes.
+        start = sys.getrecursionlimit()
+        tight = _depth() + 60
+        try:
+            sys.setrecursionlimit(tight)
+            result = mine_shrink(_distinct(1500), MiningConfig(min_util=1))
+            assert result.as_set() == {((i,), 1, 1) for i in range(1, 1501)}
+            assert sys.getrecursionlimit() == tight
+            copies = _repeated_db([[(1, 1 + k % 3) for k in range(1500)]], [1])
+            cfg = MiningConfig(min_util=10**9, max_len=2)
+            expected = mine_baseline(copies, cfg).as_set()
+            assert mine_extend(copies, cfg).as_set() == expected
+            assert sys.getrecursionlimit() == tight
+        finally:
+            sys.setrecursionlimit(start)
