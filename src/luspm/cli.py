@@ -61,8 +61,11 @@ def _cmd_mine(args) -> int:
         max_len=args.max_len,
     )
     # Only the metrics file records peak memory, which a second, traced call
-    # measures.
-    result, report = (run_once if args.metrics else timed_run)(db, cfg, args.algo)
+    # measures, and the dataset hash, which is not computed without it.
+    if args.metrics:
+        result, report = run_once(db, cfg, args.algo)
+    else:
+        result, report = timed_run(db, cfg, args.algo, dataset_hash="")
     if result is None:
         print(f"status: {report.status}", file=sys.stderr)
         return 1

@@ -133,17 +133,21 @@ def timed_run(
     db: QSequenceDatabase,
     cfg: MiningConfig,
     algorithm: str,
+    dataset_hash: str | None = None,
 ) -> tuple[LuspResult | None, MetricsReport]:
     """Run one miner once, untraced, and report that run with a peak of 0.
 
     The result, runtime and utility computations come from the one call. A
     baseline candidate-cap abort is reported as status ``cap_exceeded``
-    rather than raised.
+    rather than raised. The report's ``dataset_hash`` is ``dataset_hash``
+    when given, so a caller that runs one database many times hashes it
+    once; otherwise it is computed here.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     counter = UtilityCounter()
-    fingerprint = dataset_fingerprint(db)
+    if dataset_hash is None:
+        dataset_hash = dataset_fingerprint(db)
 
     t0 = time.perf_counter()
     status = "ok"
@@ -164,7 +168,7 @@ def timed_run(
         patterns = 0
     report = MetricsReport(
         algo=algorithm,
-        dataset_hash=fingerprint,
+        dataset_hash=dataset_hash,
         min_util=min_util,
         max_len=max_len,
         patterns=patterns,
@@ -180,13 +184,15 @@ def run_once(
     db: QSequenceDatabase,
     cfg: MiningConfig,
     algorithm: str,
+    dataset_hash: str | None = None,
 ) -> tuple[LuspResult | None, MetricsReport]:
     """Run one miner and capture metrics for that run only.
 
-    The result, runtime and utility computations come from ``timed_run``;
-    peak memory from a second, traced call, which a cap abort skips.
+    The result, runtime, utility computations and dataset hash come from
+    ``timed_run``; peak memory from a second, traced call, which a cap abort
+    skips.
     """
-    result, report = timed_run(db, cfg, algorithm)
+    result, report = timed_run(db, cfg, algorithm, dataset_hash)
     if result is None:
         return result, report
     return result, replace(report, peak_bytes=_peak_bytes(db, cfg, algorithm))
@@ -206,16 +212,17 @@ def run_sweep(
     keys: list[tuple] = []
     for size in spec.sample_sizes:
         sub = db if size is None else sample_database(db, size, seed)
+        fingerprint = dataset_fingerprint(sub)
         for cfg in spec.configs():
             threshold = cfg.min_util if cfg.min_util is not None else cfg.sigma
             for rep in range(spec.repetitions):
                 for algo in algorithms:
                     try:
-                        _, report = run_once(sub, cfg, algo)
+                        _, report = run_once(sub, cfg, algo, fingerprint)
                     except Exception as exc:  # keep sweeping, record the cell
                         report = MetricsReport(
                             algo,
-                            dataset_fingerprint(sub),
+                            fingerprint,
                             str(threshold),
                             cfg.max_len,
                             0,

@@ -120,8 +120,8 @@ class RootSearch:
     chain store and a node memo, one recursive search per root, the result.
     A subclass builds the bit index (``_index``) and the roots (``_roots``)
     through its own module's names, which the benchmark's tracer patches,
-    searches below one root (``_mine_root``) and lists its records once every
-    root is searched (``_records``).
+    searches below the root ``roots[i]`` (``_mine_root(i)``) and lists its
+    records once every root is searched (``_records``).
 
     Every recursive call of either search shortens the pattern ``s`` or
     advances the cursor ``p``, so ``len(s) - p`` strictly falls along any
@@ -150,6 +150,8 @@ class RootSearch:
         # The patterns the search admits, in first-admission order, each with
         # the value it was first admitted with.
         self._admitted: dict[Pattern, object] = {}
+        # The roots, in search order; set by ``run``.
+        self.roots: tuple[Pattern, ...] = ()
 
     @classmethod
     def mine(cls, db, cfg, counter, shadow, threads: int) -> LuspResult:
@@ -159,12 +161,12 @@ class RootSearch:
         return cls(db, cfg, counter, shadow).run()
 
     def run(self) -> LuspResult:
-        roots = self._roots()
-        headroom = 2 * max(map(len, roots), default=0) + SEARCH_SLACK
+        self.roots = self._roots()
+        headroom = 2 * max(map(len, self.roots), default=0) + SEARCH_SLACK
         _add_to_recursion_limit(headroom)
         try:
-            for root in roots:
-                self._mine_root(root)
+            for i in range(len(self.roots)):
+                self._mine_root(i)
         finally:
             _add_to_recursion_limit(-headroom)
         return LuspResult.from_records(self._records(), self.min_util, self.max_len)

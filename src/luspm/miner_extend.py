@@ -35,12 +35,13 @@ most that total: the bounds are monotone down the tree.
 The bound of a prefix depends on the root whose chain reaches it: one root can
 admit a pattern that another root's chain bounds out. Admitted prefixes are
 therefore only collected during the search, together with every prefix some
-root cut, with the residual the cut covers. Once all roots are done, only the
-candidates that lie in no root's cut subtree are evaluated; each cut's bound
-is a lower bound on the true utility of every pattern in its subtree, so the
-skipped ones cannot be results. Deferring the evaluation, rather than
-skipping against the bounds seen so far, keeps the set of evaluated patterns
-independent of the order of the roots. The store evaluates a candidate
+root cut, with the residual the cut covers: a suffix of that root, kept as
+the root's index and the suffix's start (see ``_cut``). Once all roots are
+done, only the candidates that lie in no root's cut subtree are evaluated;
+each cut's bound is a lower bound on the true utility of every pattern in its
+subtree, so the skipped ones cannot be results. Deferring the evaluation,
+rather than skipping against the bounds seen so far, keeps the set of
+evaluated patterns independent of the order of the roots. The store evaluates a candidate
 against the threshold without building its rows, stopping once its utility
 exceeds it (see ``chains``).
 
@@ -49,8 +50,6 @@ recursion headroom come from ``miner_base.RootSearch``, as in shrinkage.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .chains import TaggedRows, column_bound, restrict_rows, rows_total
 from .miner_base import LuspRecord, LuspResult, RootSearch, first_visit
@@ -63,9 +62,12 @@ from .shadow import MiningShadow
 class _ExtendMiner(RootSearch):
     def __init__(self, *args):
         super().__init__(*args)
-        # The cuts of every root, as cut prefix -> residuals. They and the
+        # The cuts of every root, as cut prefix -> [root index, residual
+        # start, ...], at most one pair per root (see ``_cut``). They and the
         # admitted prefixes are filled by the search and read after it.
-        self._cuts: dict[Pattern, list[Pattern]] = {}
+        self._cuts: dict[Pattern, list[int]] = {}
+        # The index in ``roots`` of the root being searched.
+        self._root = 0
 
     def _index(self, db):
         return build_bit_index(db)
@@ -73,7 +75,9 @@ class _ExtendMiner(RootSearch):
     def _roots(self):
         return build_max_non_con_seq_set(self.store, self.threshold).roots
 
-    def _mine_root(self, root: Pattern) -> None:
+    def _mine_root(self, i: int) -> None:
+        self._root = i
+        root = self.roots[i]
         chain = self.store.tagged(root)
         self._descend(root, chain.full(), 0, chain.total)
 
@@ -94,12 +98,15 @@ class _ExtendMiner(RootSearch):
         subsequence of ``R``. Each distinct P-embedding among the cut's rows
         extends to a distinct embedding of ``P + r`` and utilities are
         positive, so the cut's bound is a lower bound on ``q``'s utility."""
+        roots = self.roots
         for k in range(1, len(q) + 1):
-            residuals = self._cuts.get(q[:k])
-            if residuals is not None:
+            entries = self._cuts.get(q[:k])
+            if entries is not None:
                 rest = q[k:]
-                if any(is_subsequence(rest, r) for r in residuals):
-                    return True
+                pairs = iter(entries)
+                for i, start in zip(pairs, pairs):
+                    if is_subsequence(rest, roots[i][start:]):
+                        return True
         return False
 
     def _descend(self, s: Pattern, rows: TaggedRows, p: int, total) -> None:
@@ -151,16 +158,34 @@ class _ExtendMiner(RootSearch):
 
     def _cut(self, s: Pattern, p: int) -> None:
         """Record that the prefix ``s[:p + 1]`` bounds out its subtree, every
-        subsequence of the residual ``s[p + 1:]`` appended to it."""
-        prefix, residual = s[: p + 1], s[p + 1 :]
-        # Other drop orders and roots repeat a cut; each prefix's residuals
-        # are kept sorted and distinct, so a repeat is found by bisection.
-        residuals = self._cuts.setdefault(prefix, [])
-        i = bisect_left(residuals, residual)
-        if i == len(residuals) or residuals[i] != residual:
-            residuals.insert(i, residual)
+        subsequence of the residual ``s[p + 1:]`` appended to it.
+
+        The search drops positions only at its cursor, so every position
+        dropped so far lies before ``p`` and the residual is the suffix of
+        the root from ``len(root) - len(s) + p + 1`` on. A cut is stored as
+        that start, beside its root's index, and no residual is built unless
+        the shadow is told of the cut. Of two cuts of one
+        prefix from one root, the one starting earlier has a residual that
+        holds the other's, so only the smallest start is kept. Roots are
+        searched one after another, so the pair for the current root, if
+        there is one, is the last of its prefix's list.
+
+        A prefix longer than ``max_len`` is not stored: every pattern below
+        it is longer still, and none is admitted.
+        """
         if self.shadow is not None:
-            self.shadow.ebisps_cut(prefix, residual)
+            self.shadow.ebisps_cut(s[: p + 1], s[p + 1 :])
+        if self.max_len is not None and p >= self.max_len:
+            return
+        prefix = s[: p + 1]
+        start = len(self.roots[self._root]) - len(s) + p + 1
+        entries = self._cuts.get(prefix)
+        if entries is None:
+            self._cuts[prefix] = [self._root, start]
+        elif entries[-2] != self._root:
+            entries += (self._root, start)
+        elif start < entries[-1]:
+            entries[-1] = start
 
     def _admit_all(self, s: Pattern, p: int) -> None:
         """Row-free regime at cursor ``p``: admit every ``s[:p] + r``, in

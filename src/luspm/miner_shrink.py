@@ -59,8 +59,8 @@ class _ShrinkMiner(RootSearch):
     def _records(self):
         return [LuspRecord(p, u, s) for p, (u, s) in self._admitted.items()]
 
-    def _mine_root(self, root: Pattern) -> None:
-        self._enter(root, 0)
+    def _mine_root(self, i: int) -> None:
+        self._enter(self.roots[i], 0)
 
     def _enter(self, q: Pattern, p: int) -> None:
         """Evaluate the non-empty ``q``, record it if it is a result, and

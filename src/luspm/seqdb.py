@@ -130,9 +130,17 @@ def parse_spmf(text: str | bytes) -> tuple[QSequence, ...]:
     ``-1`` itemset separators are dropped and the items flattened into one
     ordered list. A bare integer token carries quantity 1; ``item[q]`` sets an
     explicit quantity. Every sequence line must end with ``-2``.
+
+    Elements are shared per token: the first occurrence of a token is checked
+    and becomes a ``QItem``, and every later occurrence in the same call
+    reuses that immutable object, so a database that repeats a few hundred
+    distinct tokens holds a few hundred elements. A token that fails a check
+    is never stored: it raises a ``ParseError`` naming its own line.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
+    parsed: dict[str, QItem] = {}
+    cached = parsed.get
     sequences: list[QSequence] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -140,32 +148,40 @@ def parse_spmf(text: str | bytes) -> tuple[QSequence, ...]:
             continue
         if tokens[-1] != "-2":
             raise ParseError(line_no, "missing -2 terminator")
-        elements: list[QItem] = []
-        for tok in tokens[:-1]:
-            if tok == "-1":
-                continue
-            if tok == "-2":
-                raise ParseError(line_no, "-2 before end of line")
-            item_s, _, rest = tok.partition("[")
-            try:
-                item = int(item_s)
-                if rest:
-                    if not rest.endswith("]"):
-                        raise ValueError
-                    quantity = int(rest[:-1])
-                else:
-                    quantity = 1
-            except ValueError:
-                raise ParseError(line_no, f"malformed token {tok!r}") from None
-            if item < 0:
-                raise ParseError(line_no, f"negative item id {item}")
-            if quantity < 1:
-                raise ParseError(line_no, f"quantity {quantity} < 1 for item {item}")
-            elements.append(QItem(item, quantity))
+        # A QItem is always truthy, so ``or`` parses only uncached tokens.
+        elements = [
+            cached(tok) or _parse_token(tok, line_no, parsed)
+            for tok in tokens[:-1]
+            if tok != "-1"
+        ]
         if not elements:
             raise ParseError(line_no, "empty sequence")
         sequences.append(QSequence(sid=len(sequences), elements=tuple(elements)))
     return tuple(sequences)
+
+
+def _parse_token(tok: str, line_no: int, parsed: dict[str, QItem]) -> QItem:
+    """Check the item token ``tok`` of line ``line_no`` and store its
+    ``QItem`` in ``parsed``; raise ``ParseError`` if it is not valid."""
+    if tok == "-2":
+        raise ParseError(line_no, "-2 before end of line")
+    item_s, _, rest = tok.partition("[")
+    try:
+        item = int(item_s)
+        if rest:
+            if not rest.endswith("]"):
+                raise ValueError
+            quantity = int(rest[:-1])
+        else:
+            quantity = 1
+    except ValueError:
+        raise ParseError(line_no, f"malformed token {tok!r}") from None
+    if item < 0:
+        raise ParseError(line_no, f"negative item id {item}")
+    if quantity < 1:
+        raise ParseError(line_no, f"quantity {quantity} < 1 for item {item}")
+    element = parsed[tok] = QItem(item, quantity)
+    return element
 
 
 def serialize_spmf(sequences: Iterable[QSequence]) -> str:

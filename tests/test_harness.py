@@ -25,6 +25,7 @@ from luspm import (
     serialize_spmf,
     serialize_utility_table,
 )
+from luspm import harness
 from luspm.cli import main
 from luspm.harness import ALGORITHMS, METRICS_HEADER, parse_metrics_csv
 from luspm.seqdb import comparison_threshold, resolve_min_util
@@ -127,6 +128,44 @@ class TestFingerprintAndSampling:
         other = generate_synthetic(6, 4, 2, 6, 3, 3, seed=8)
         assert dataset_fingerprint(small_db) != dataset_fingerprint(other)
         assert dataset_fingerprint(small_db) == dataset_fingerprint(small_db)
+
+    def test_fingerprint_is_computed_once_per_database(
+        self, tmp_path, small_db, monkeypatch
+    ):
+        # A sweep hashes each (sampled) database once, however many cells it
+        # runs on it; ``luspm mine`` hashes only to write a metrics row.
+        hashed = []
+        fingerprint = harness.dataset_fingerprint
+
+        def counting_fingerprint(db):
+            hashed.append(len(db))
+            return fingerprint(db)
+
+        monkeypatch.setattr(harness, "dataset_fingerprint", counting_fingerprint)
+        spec = SweepSpec(min_utils=(5, 10), max_lens=(2, None),
+                         sample_sizes=(None, 4), repetitions=2)
+        rows = parse_metrics_csv(run_sweep(spec, small_db))
+        assert len(rows) == 2 * 2 * 2 * 2 * 3
+        assert hashed == [len(small_db), 4]
+        assert {r["dataset_hash"] for r in rows[:24]} == {fingerprint(small_db)}
+
+        hashed.clear()
+        db_file = tmp_path / "db.txt"
+        utils_file = tmp_path / "db.utils"
+        db_file.write_text(serialize_spmf(small_db.sequences))
+        utils_file.write_text(serialize_utility_table(small_db.utilities))
+        argv = [
+            "mine", "--algo", "extend", "--db", str(db_file),
+            "--utils", str(utils_file), "--min-util", "12",
+            "--out", str(tmp_path / "out.tsv"),
+        ]
+        assert main(argv) == 0
+        assert hashed == []
+        metrics = tmp_path / "metrics.csv"
+        assert main(argv + ["--metrics", str(metrics)]) == 0
+        assert hashed == [len(small_db)]
+        row = parse_metrics_csv(metrics.read_text())[0]
+        assert row["dataset_hash"] == fingerprint(small_db)
 
     def test_sampling_is_deterministic(self, small_db):
         a = sample_database(small_db, 3, seed=1)

@@ -6,6 +6,7 @@ import random
 import sys
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +336,97 @@ class TestAdmission:
             )
         ]
         assert result.as_set() == mine_baseline(db, cfg).as_set()
+
+
+def _distinct_items(n):
+    """One sequence of n distinct items, each of utility 1."""
+    elements = tuple(QItem(i, 1) for i in range(1, n + 1))
+    return QSequenceDatabase(
+        (QSequence(0, elements),), ExternalUtilityTable.uniform(range(1, n + 1))
+    )
+
+
+def _stored_cuts(miner):
+    """The cut store of a finished run, as prefix -> [(root index, residual
+    start), ...]; each entry must be a flat list of int pairs."""
+    stored = {}
+    for prefix, entries in miner._cuts.items():
+        assert all(type(v) is int for v in entries), entries
+        assert len(entries) % 2 == 0
+        stored[prefix] = list(zip(entries[::2], entries[1::2]))
+    return stored
+
+
+class TestCutStore:
+    def test_one_entry_per_prefix_and_root_and_no_residual_tuples(self):
+        # n distinct items at min_util=1: each two-item prefix (i, j) is cut
+        # once, with the residual of the n - j items after j, C(n, 3) items
+        # in all. The store keeps a root index and a start per cut instead.
+        n = 40
+        db = _distinct_items(n)
+        shadow = CutRecordingShadow()
+        miner = miner_extend._ExtendMiner(db, MiningConfig(min_util=1), None, shadow)
+        assert miner.run().as_set() == {((i,), 1, 1) for i in range(1, n + 1)}
+        stored = _stored_cuts(miner)
+        assert sum(map(len, stored.values())) == len(stored) == comb(n, 2)
+        assert sum(len(r) for _, r in shadow.cuts) == comb(n, 3)
+        # Each stored residual is the root's suffix at its start, and holds
+        # every residual the shadow saw for that prefix.
+        for prefix, pairs in stored.items():
+            for i, start in pairs:
+                residual = miner.roots[i][start:]
+                assert all(
+                    is_subsequence(r, residual) for p, r in shadow.cuts if p == prefix
+                )
+
+    def test_many_roots_keep_one_smallest_start_each(self):
+        db = generate_synthetic(30, 4, 13, 14, 5, 5, seed=7)
+        cfg = MiningConfig(min_util=8)
+        shadow = CutRecordingShadow()
+        miner = miner_extend._ExtendMiner(db, cfg, None, shadow)
+        assert miner.run().as_set() == mine_baseline(db, cfg).as_set()
+        stored = _stored_cuts(miner)
+        assert len(miner.roots) > 1
+        assert any(len(pairs) > 1 for pairs in stored.values())
+        for prefix, pairs in stored.items():
+            roots = [i for i, _ in pairs]
+            assert roots == sorted(set(roots))
+        # The cuts the shadow saw are exactly the stored pairs' suffixes and
+        # their subsequences: the same prefixes, the longest residual kept.
+        longest = {}
+        for prefix, residual in shadow.cuts:
+            if len(residual) >= len(longest.get(prefix, ())):
+                longest[prefix] = residual
+        assert set(longest) == set(stored)
+        for prefix, pairs in stored.items():
+            kept = max(len(miner.roots[i]) - start for i, start in pairs)
+            assert kept == len(longest[prefix])
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    def test_length_cap_stores_no_longer_prefix(self, max_len):
+        # The capped store is the uncapped one without its prefixes longer
+        # than the cap; the shadow still sees every cut.
+        cases = [(generate_synthetic(30, 4, 13, 14, 5, 5, seed=7), 8)]
+        cases += [(random_database(seed), 6) for seed in range(20)]
+        dropped = kept = 0
+        for db, min_util in cases:
+            uncapped = miner_extend._ExtendMiner(db, MiningConfig(min_util=min_util), None, None)
+            uncapped.run()
+            cfg = MiningConfig(min_util=min_util, max_len=max_len)
+            shadow = CutRecordingShadow()
+            miner = miner_extend._ExtendMiner(db, cfg, None, shadow)
+            assert miner.run().as_set() == mine_baseline(db, cfg).as_set()
+            stored = _stored_cuts(miner)
+            assert all(len(prefix) <= max_len for prefix in stored)
+            assert stored == {
+                prefix: pairs
+                for prefix, pairs in _stored_cuts(uncapped).items()
+                if len(prefix) <= max_len
+            }
+            assert {p for p, _ in shadow.cuts} == set(_stored_cuts(uncapped))
+            dropped += any(len(p) > max_len for p, _ in shadow.cuts)
+            kept += bool(stored)
+        assert dropped and kept
 
 
 class TestSubtreeCutSafety:

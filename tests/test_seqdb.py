@@ -105,6 +105,70 @@ class TestSpmfRoundTrip:
         )
 
 
+def _fresh_elements(text):
+    """Every line's elements, one new ``QItem`` per position: the reference
+    the shared elements must equal, for valid input."""
+    out = []
+    for line in text.splitlines():
+        tokens = [t for t in line.split()[:-1] if t != "-1"]
+        if tokens:
+            out.append(tuple(
+                QItem(int(t.partition("[")[0]), int(t.partition("[")[2][:-1] or 1))
+                for t in tokens
+            ))
+    return tuple(out)
+
+
+class TestSharedElements:
+    def test_one_element_per_distinct_token(self):
+        seqs = parse_spmf("1[2] -1 3 -1 1[2] -2\n3 1[2] -1 1[3] -2\n")
+        first, second = seqs
+        assert first.elements[0] is first.elements[2] is second.elements[1]
+        assert first.elements[1] is second.elements[0]
+        assert second.elements[2] is not first.elements[0]
+        assert second.elements[2] == QItem(1, 3)
+        distinct = {id(e) for s in seqs for e in s.elements}
+        assert len(distinct) == 3
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_elements_equal_fresh_items_per_position(self, seed):
+        text = serialize_spmf(random_database(seed).sequences)
+        parsed = parse_spmf(text)
+        assert tuple(s.elements for s in parsed) == _fresh_elements(text)
+        # Equal tokens share one object, and distinct ones do not.
+        by_value = {}
+        for e in (e for s in parsed for e in s.elements):
+            assert by_value.setdefault(e, e) is e
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("4[2] -1 -2\n4[2] 4[2 -2\n", 2, "malformed token '4[2'"),
+            ("4[2] -1 -2\n4[2] -2 5 -2\n", 2, "-2 before end of line"),
+            ("4[2] -2\n-2 -2\n", 2, "-2 before end of line"),
+            ("0[1] -2\nx[0] -2\n", 2, "malformed token 'x[0]'"),
+            ("3[1] -2\n3[1] 3[0] -2\n", 2, "quantity 0 < 1 for item 3"),
+            ("1 -2\n1 -1 -2\n-1 -2\n", 3, "empty sequence"),
+        ],
+    )
+    def test_errors_after_a_cached_look_alike_keep_their_line(
+        self, text, line_no, message
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_spmf(text)
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"line {line_no}: {message}"
+
+    def test_bytes_and_any_whitespace(self):
+        text = "1[2]\t-1  3 -1\t\t1[2] -2\n\n  2   -2  \n"
+        expected = parse_spmf("1[2] -1 3 -1 1[2] -2\n2 -2\n")
+        for source in (text, text.encode("ascii")):
+            parsed = parse_spmf(source)
+            assert parsed == expected
+            assert parsed[0].elements[0] is parsed[0].elements[2]
+
+
 class TestUtilityTableFormat:
     def test_parse(self):
         table = parse_utility_table("1 2\n2 1/2\n")
