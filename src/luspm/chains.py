@@ -17,7 +17,9 @@ Rows are read only for the questions that need them: whether a chain's total
 exceeds the threshold, the frozen-prefix marking, restriction, and full
 rows. A pattern's exact utility and support (``ChainStore.evaluate``) need
 no rows: they are summed over the same holder sequences by an embedding-count
-DP, which stops once the utility exceeds the threshold. A chain already
+DP, which stops once the utility exceeds the threshold. Its column sums
+(``ChainStore.column_sums``), which root construction prunes by, come from
+the same DP run forward and backward. A chain already
 drained, or whose pulled rows already exceed the threshold, answers from its
 rows instead.
 
@@ -54,6 +56,7 @@ from .occurrence import (
     BitIndex,
     SUChain,
     UtilityCounter,
+    copy_holders,
     enumerate_embeddings,
     greedy_matches,
 )
@@ -288,6 +291,40 @@ def _embedding_totals(items, utils, left, right, depths, budget):
     return ut[m], cnt[m]
 
 
+def _column_totals(items, utils, left, right, depths, sums: list) -> None:
+    """Add to ``sums[d]`` the utility at the ``d``-th position of every
+    embedding of a pattern in one sequence, for every pattern position ``d``.
+
+    The arguments are ``_embedding_totals``'s. Column ``d``'s sum is
+    Σ_j [items[j] = P_d] · u_j · F_d(j) · B_d(j), where F_d(j) counts the
+    embeddings of the pattern's first ``d`` items that end before ``j`` and
+    B_d(j) those of its items after ``d`` that start after ``j``. The forward
+    sweep of ``_embedding_totals`` gives F_d(j) as ``cnt[d]`` and keeps the
+    ``(j, d)`` steps where it is non-zero. Only those steps lie on a whole
+    embedding, so a backward sweep over them alone, in reverse, counts the
+    suffix embeddings after each ``j`` (``after[d + 1]``) and adds each
+    product.
+    """
+    m = len(left)
+    cnt = [1] + [0] * m
+    steps = []
+    for j in range(left[0], right[-1] + 1):
+        ds = depths.get(items[j])
+        if ds is None:
+            continue
+        for d in ds:
+            c = cnt[d]
+            if c and j <= right[d]:
+                cnt[d + 1] += c
+                steps.append((j, d, c))
+    after = [0] * m + [1]
+    for j, d, c in reversed(steps):
+        b = after[d + 1]
+        if b:
+            after[d] += b
+            sums[d] += utils[j] * c * b
+
+
 # ``_HolderScan.totals`` before the store has summed the pattern.
 _UNSUMMED = object()
 
@@ -451,13 +488,48 @@ class ChainStore:
             if depths is None:
                 depths = _depths(pattern)
             totals = _embedding_totals(
-                seq.items, utils, left, right, depths, limit - utility
+                self._items(seq), utils, left, right, depths, limit - utility
             )
             if totals is None:
                 return None
             utility += totals[0]
             support += totals[1]
         return utility, support
+
+    def column_sums(self, pattern: Pattern) -> list:
+        """Each column's sum over the pattern's own chain, that is over
+        every embedding of the pattern in the database, summed without rows.
+
+        The pattern's chain is created, which counts as its utility
+        computation, and its holder list is reused, but none of its rows is
+        pulled. A holder whose two greedy matches are equal has one
+        embedding, whose utilities are added as they are; any other holder
+        is summed by ``_column_totals``.
+        """
+        scan = self.tagged(pattern)._source
+        holders = self._holders(pattern) if scan is None else scan.holders
+        sums = [0] * len(pattern)
+        sequences = self.db.sequences
+        depths = None
+        for k in holders:
+            seq = sequences[k]
+            matches = greedy_matches(pattern, seq, self.index)
+            if matches is None:
+                continue
+            left, right, _ = matches
+            utils = self._sequence_utilities(k)
+            if left == right:
+                for d, j in enumerate(left):
+                    sums[d] += utils[j]
+                continue
+            if depths is None:
+                depths = _depths(pattern)
+            _column_totals(self._items(seq), utils, left, right, depths, sums)
+        return sums
+
+    def _items(self, seq) -> Pattern:
+        """The items of ``seq``, from the index when the store has one."""
+        return seq.items if self.index is None else self.index.items[seq.sid]
 
     def _sequence_utilities(self, k: int) -> tuple:
         """The per-position utilities of ``db.sequences[k]``, computed once."""
@@ -473,23 +545,7 @@ class ChainStore:
         long as the pattern."""
         if self.index is None:
             return range(len(self.db.sequences))
-        masks = self.index.masks
-        mask = (1 << len(self.db.sequences)) - 1
-        items = set(pattern)
-        # Counting copies pays only when the pattern repeats an item.
-        repeats = len(items) < len(pattern)
-        for item in items:
-            at_least = masks.get(item, ())
-            copies = pattern.count(item) if repeats else 1
-            mask &= at_least[copies - 1] if copies <= len(at_least) else 0
-        # Bit k of the mask is character k of the reversed binary string.
-        bits = bin(mask)[:1:-1]
-        holders = []
-        k = bits.find("1")
-        while k >= 0:
-            holders.append(k)
-            k = bits.find("1", k + 1)
-        return holders
+        return copy_holders(pattern, self.index.masks, len(self.db.sequences))
 
 
 def get_utility_chain(

@@ -36,12 +36,19 @@ The bound of a prefix depends on the root whose chain reaches it: one root can
 admit a pattern that another root's chain bounds out. Admitted prefixes are
 therefore only collected during the search, together with every prefix some
 root cut, with the residual the cut covers: a suffix of that root, kept as
-the root's index and the suffix's start (see ``_cut``). Once all roots are
-done, only the candidates that lie in no root's cut subtree are evaluated;
+the root's index and the suffix's start (see ``_cut``): one packed int while
+only one root has cut the prefix, as most prefixes are, and a flat list of
+int pairs from the second root on. Once all roots are done, only the
+candidates that lie in no root's cut subtree are evaluated;
 each cut's bound is a lower bound on the true utility of every pattern in its
 subtree, so the skipped ones cannot be results. Deferring the evaluation,
 rather than skipping against the bounds seen so far, keeps the set of
-evaluated patterns independent of the order of the roots. The store evaluates a candidate
+evaluated patterns independent of the order of the roots. ``_records``
+filters, releases, then evaluates: it first filters the admitted candidates
+against the cuts, then drops the cut store, the node memo and the admitted
+prefixes, and only then evaluates the uncovered candidates in admission
+order, so the chains the evaluation creates never coexist with the search's
+state. The store evaluates a candidate
 against the threshold without building its rows, stopping once its utility
 exceeds it (see ``chains``).
 
@@ -58,14 +65,20 @@ from .preprocess import build_max_non_con_seq_set
 from .seqdb import MiningConfig, Pattern, QSequenceDatabase
 from .shadow import MiningShadow
 
+# A cut entry held by one root packs the root index above the residual start;
+# a start is a position in a root, so it is below 2**32.
+_SHIFT = 32
+_START = (1 << _SHIFT) - 1
+
 
 class _ExtendMiner(RootSearch):
     def __init__(self, *args):
         super().__init__(*args)
-        # The cuts of every root, as cut prefix -> [root index, residual
-        # start, ...], at most one pair per root (see ``_cut``). They and the
-        # admitted prefixes are filled by the search and read after it.
-        self._cuts: dict[Pattern, list[int]] = {}
+        # The cuts of every root, as cut prefix -> entry, at most one
+        # (root index, residual start) pair per root (see ``_cut``). They and
+        # the admitted prefixes are filled by the search, read after it and
+        # then released (see ``_records``).
+        self._cuts: dict[Pattern, int | list[int]] = {}
         # The index in ``roots`` of the root being searched.
         self._root = 0
 
@@ -82,12 +95,18 @@ class _ExtendMiner(RootSearch):
         self._descend(root, chain.full(), 0, chain.total)
 
     def _records(self):
-        records = []
+        """Filter the admitted candidates against the cuts, release the
+        search's state, then evaluate the uncovered candidates in admission
+        order."""
+        uncovered = []
         for q in self._admitted:
-            if self._in_cut_subtree(q):
-                if self.shadow is not None:
-                    self.shadow.sluspb_skip(q)
-                continue
+            if not self._in_cut_subtree(q):
+                uncovered.append(q)
+            elif self.shadow is not None:
+                self.shadow.sluspb_skip(q)
+        self._cuts = self._expanded = self._admitted = None
+        records = []
+        for q in uncovered:
             totals = self.store.evaluate(q)
             if totals is not None:
                 records.append(LuspRecord(q, *totals))
@@ -100,13 +119,18 @@ class _ExtendMiner(RootSearch):
         positive, so the cut's bound is a lower bound on ``q``'s utility."""
         roots = self.roots
         for k in range(1, len(q) + 1):
-            entries = self._cuts.get(q[:k])
-            if entries is not None:
-                rest = q[k:]
-                pairs = iter(entries)
-                for i, start in zip(pairs, pairs):
-                    if is_subsequence(rest, roots[i][start:]):
-                        return True
+            entry = self._cuts.get(q[:k])
+            if entry is None:
+                continue
+            rest = q[k:]
+            if type(entry) is int:
+                if is_subsequence(rest, roots[entry >> _SHIFT][entry & _START :]):
+                    return True
+                continue
+            pairs = iter(entry)
+            for i, start in zip(pairs, pairs):
+                if is_subsequence(rest, roots[i][start:]):
+                    return True
         return False
 
     def _descend(self, s: Pattern, rows: TaggedRows, p: int, total) -> None:
@@ -166,9 +190,13 @@ class _ExtendMiner(RootSearch):
         that start, beside its root's index, and no residual is built unless
         the shadow is told of the cut. Of two cuts of one
         prefix from one root, the one starting earlier has a residual that
-        holds the other's, so only the smallest start is kept. Roots are
-        searched one after another, so the pair for the current root, if
-        there is one, is the last of its prefix's list.
+        holds the other's, so only the smallest start is kept.
+
+        Most prefixes are cut from one root only, and their entry is the one
+        int ``root << _SHIFT | start``. A cut from a second root turns it
+        into the flat list ``[root, start, root, start, ...]`` of small ints.
+        Roots are searched one after another, so the pair for the current
+        root, if there is one, is the last of its prefix's list.
 
         A prefix longer than ``max_len`` is not stored: every pattern below
         it is longer still, and none is admitted.
@@ -178,14 +206,20 @@ class _ExtendMiner(RootSearch):
         if self.max_len is not None and p >= self.max_len:
             return
         prefix = s[: p + 1]
-        start = len(self.roots[self._root]) - len(s) + p + 1
-        entries = self._cuts.get(prefix)
-        if entries is None:
-            self._cuts[prefix] = [self._root, start]
-        elif entries[-2] != self._root:
-            entries += (self._root, start)
-        elif start < entries[-1]:
-            entries[-1] = start
+        root = self._root
+        start = len(self.roots[root]) - len(s) + p + 1
+        entry = self._cuts.get(prefix)
+        if entry is None:
+            self._cuts[prefix] = root << _SHIFT | start
+        elif type(entry) is int:
+            if entry >> _SHIFT != root:
+                self._cuts[prefix] = [entry >> _SHIFT, entry & _START, root, start]
+            elif start < entry & _START:
+                self._cuts[prefix] = root << _SHIFT | start
+        elif entry[-2] != root:
+            entry += (root, start)
+        elif start < entry[-1]:
+            entry[-1] = start
 
     def _admit_all(self, s: Pattern, p: int) -> None:
         """Row-free regime at cursor ``p``: admit every ``s[:p] + r``, in

@@ -110,6 +110,30 @@ def build_bit_index(db: QSequenceDatabase) -> BitIndex:
     return BitIndex(positions, masks, items)
 
 
+def copy_holders(pattern: Pattern, masks, n: int) -> list[int]:
+    """Ascending indices ``k < n`` of the patterns holding at least as many
+    copies of each item as ``pattern``, read from copy-count masks: bit ``k``
+    of ``masks[item][c - 1]`` is set when pattern ``k`` holds ``c`` or more
+    copies of the item, as in ``BitIndex.masks``. Such a pattern is at least
+    as long as ``pattern``."""
+    mask = (1 << n) - 1
+    items = set(pattern)
+    # Counting copies pays only when the pattern repeats an item.
+    repeats = len(items) < len(pattern)
+    for item in items:
+        at_least = masks.get(item, ())
+        copies = pattern.count(item) if repeats else 1
+        mask &= at_least[copies - 1] if copies <= len(at_least) else 0
+    # Bit k of the mask is character k of the reversed binary string.
+    bits = bin(mask)[:1:-1]
+    holders = []
+    k = bits.find("1")
+    while k >= 0:
+        holders.append(k)
+        k = bits.find("1", k + 1)
+    return holders
+
+
 def is_subsequence(shorter: Pattern, longer: Pattern) -> bool:
     """Greedy left-to-right containment check (order-preserving)."""
     it = iter(longer)

@@ -15,6 +15,7 @@ from luspm import (
     EmbeddingCapExceeded,
     ExternalUtilityTable,
     MiningConfig,
+    QSequence,
     QSequenceDatabase,
     UtilityCounter,
     build_bit_index,
@@ -238,6 +239,55 @@ class TestTotalsScan:
                     assert store.rows(p) == rows
                     partial += 0 < pulled < len(rows)
         assert partial
+
+    def test_column_sums_equal_the_rows(self):
+        # The same databases as above: every column's sum over a pattern's
+        # embeddings, counted by the forward and backward passes, equals the
+        # sum over its rows. The chain is created and counted, but no row is
+        # pulled; a chain already drained gives the same sums.
+        several = fractions = unindexed = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            db = generate_synthetic(rng.randint(1, 5), rng.randint(1, 3), 1, 10, 4, 4, seed)
+            if seed % 2:
+                thirds = {i: Fraction(v, 3) for i, v in db.utilities.values.items()}
+                db = QSequenceDatabase(db.sequences, ExternalUtilityTable(thirds))
+            index = None if seed % 3 == 0 else build_bit_index(db)
+            patterns = {(1,) * rng.randint(1, 6) for _ in range(3)}
+            for seq in db.sequences:
+                patterns.add(seq.items)
+                k = rng.randint(1, len(seq))
+                patterns.add(tuple(seq.items[j] for j in sorted(rng.sample(range(len(seq)), k))))
+            for p in sorted(patterns):
+                rows = _reference_rows(db, p)
+                store = ChainStore(db, index, UtilityCounter())
+                expected = [sum(util[d] for _, _, util in rows) for d in range(len(p))]
+                assert store.column_sums(p) == expected, (seed, p)
+                assert store.rows_pulled == 0 and store.counter.count == 1
+                assert store.rows(p) == rows
+                assert store.column_sums(p) == expected
+                several += len(rows) > len({sid for sid, _, _ in rows})
+                fractions += any(isinstance(v, Fraction) for v in expected)
+                unindexed += index is None
+        assert several and fractions and unindexed
+
+    def test_indexed_store_reads_items_from_the_index(self, monkeypatch):
+        # With an index, neither the totals scan nor the column sums rebuild
+        # a sequence's item tuple, even for holders with several embeddings.
+        db = generate_synthetic(6, 2, 6, 10, 4, 4, 2)
+        index = build_bit_index(db)
+        patterns = [seq.items[:3] for seq in db.sequences]
+        expected = [ChainStore(db, index).evaluate(p) for p in patterns]
+        assert any(support > len(db) for _, support in expected)
+
+        def no_items(seq):
+            raise AssertionError(f"sid {seq.sid}'s items were rebuilt")
+
+        monkeypatch.setattr(QSequence, "items", property(no_items))
+        store = ChainStore(db, index)
+        assert [store.evaluate(p) for p in patterns] == expected
+        for p, (utility, _) in zip(patterns, expected):
+            assert sum(store.column_sums(p)) == utility
 
     def test_drained_and_exceeding_chains_answer_from_rows(self, monkeypatch):
         # Once a chain is drained, or its pulled rows exceed the threshold,

@@ -70,6 +70,17 @@ class TestRunOnce:
         assert result.as_set() == mine_shrink(small_db, MiningConfig(min_util=12)).as_set()
         assert report.peak_bytes > 0
 
+    def test_extend_needs_less_memory_than_shrink(self):
+        # The paper reports that LUSPM_e needs less memory than LUSPM_s. On
+        # the benchmark's sparse database, extend's traced peak is at most
+        # four fifths of shrink's.
+        db = generate_synthetic(100, 30, 8, 12, 5, 5, 1)
+        cfg = MiningConfig(sigma=Fraction(1, 1000))
+        shrink, shrink_report = run_once(db, cfg, "shrink")
+        extend, extend_report = run_once(db, cfg, "extend")
+        assert extend.as_set() == shrink.as_set()
+        assert extend_report.peak_bytes <= 0.8 * shrink_report.peak_bytes
+
     def test_unknown_algorithm_rejected(self, small_db):
         with pytest.raises(ValueError):
             run_once(small_db, MiningConfig(min_util=5), "magic")

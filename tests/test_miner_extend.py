@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -346,13 +347,27 @@ def _distinct_items(n):
     )
 
 
+class _CutKeepingMiner(miner_extend._ExtendMiner):
+    """An extension miner that keeps its cut store as it stands at the end of
+    the search, before ``_records`` releases it."""
+
+    def _records(self):
+        self.final_cuts = self._cuts
+        return super()._records()
+
+
 def _stored_cuts(miner):
-    """The cut store of a finished run, as prefix -> [(root index, residual
-    start), ...]; each entry must be a flat list of int pairs."""
+    """The cut store of a finished ``_CutKeepingMiner`` run, as prefix ->
+    [(root index, residual start), ...]. Each entry must be one int packing
+    one pair, or a flat list of two or more int pairs."""
     stored = {}
-    for prefix, entries in miner._cuts.items():
+    shift = miner_extend._SHIFT
+    for prefix, entries in miner.final_cuts.items():
+        if type(entries) is int:
+            stored[prefix] = [(entries >> shift, entries & ((1 << shift) - 1))]
+            continue
         assert all(type(v) is int for v in entries), entries
-        assert len(entries) % 2 == 0
+        assert len(entries) % 2 == 0 and len(entries) >= 4
         stored[prefix] = list(zip(entries[::2], entries[1::2]))
     return stored
 
@@ -365,7 +380,7 @@ class TestCutStore:
         n = 40
         db = _distinct_items(n)
         shadow = CutRecordingShadow()
-        miner = miner_extend._ExtendMiner(db, MiningConfig(min_util=1), None, shadow)
+        miner = _CutKeepingMiner(db, MiningConfig(min_util=1), None, shadow)
         assert miner.run().as_set() == {((i,), 1, 1) for i in range(1, n + 1)}
         stored = _stored_cuts(miner)
         assert sum(map(len, stored.values())) == len(stored) == comb(n, 2)
@@ -383,7 +398,7 @@ class TestCutStore:
         db = generate_synthetic(30, 4, 13, 14, 5, 5, seed=7)
         cfg = MiningConfig(min_util=8)
         shadow = CutRecordingShadow()
-        miner = miner_extend._ExtendMiner(db, cfg, None, shadow)
+        miner = _CutKeepingMiner(db, cfg, None, shadow)
         assert miner.run().as_set() == mine_baseline(db, cfg).as_set()
         stored = _stored_cuts(miner)
         assert len(miner.roots) > 1
@@ -410,11 +425,11 @@ class TestCutStore:
         cases += [(random_database(seed), 6) for seed in range(20)]
         dropped = kept = 0
         for db, min_util in cases:
-            uncapped = miner_extend._ExtendMiner(db, MiningConfig(min_util=min_util), None, None)
+            uncapped = _CutKeepingMiner(db, MiningConfig(min_util=min_util), None, None)
             uncapped.run()
             cfg = MiningConfig(min_util=min_util, max_len=max_len)
             shadow = CutRecordingShadow()
-            miner = miner_extend._ExtendMiner(db, cfg, None, shadow)
+            miner = _CutKeepingMiner(db, cfg, None, shadow)
             assert miner.run().as_set() == mine_baseline(db, cfg).as_set()
             stored = _stored_cuts(miner)
             assert all(len(prefix) <= max_len for prefix in stored)
@@ -427,6 +442,26 @@ class TestCutStore:
             dropped += any(len(p) > max_len for p, _ in shadow.cuts)
             kept += bool(stored)
         assert dropped and kept
+
+
+class TestRelease:
+    def test_search_state_is_released_before_evaluation(self, monkeypatch):
+        # Every evaluation runs after the cut store, the node memo and the
+        # admitted prefixes are released.
+        db = generate_synthetic(100, 30, 8, 12, 5, 5, seed=1)
+        cfg = MiningConfig(sigma=Fraction(1, 1000))
+        miner = _CutKeepingMiner(db, cfg, None, None)
+        seen = []
+        evaluate = ChainStore.evaluate
+
+        def inspecting_evaluate(store, pattern):
+            seen.append((miner._cuts, miner._expanded, miner._admitted))
+            return evaluate(store, pattern)
+
+        monkeypatch.setattr(ChainStore, "evaluate", inspecting_evaluate)
+        assert miner.run().as_set() == mine_baseline(db, cfg).as_set()
+        assert seen and miner.final_cuts
+        assert all(state == (None, None, None) for state in seen)
 
 
 class TestSubtreeCutSafety:

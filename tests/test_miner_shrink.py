@@ -341,14 +341,14 @@ class TestLaziness:
     def test_results_are_summed_without_rows(self):
         # Every pattern of 11 copies of one item is a result, and its chain
         # holds C(11, k) rows for k copies, 2^11 - 1 in all. Evaluation sums
-        # them without rows: the only row pulled is the root's own lone
-        # embedding, read by root construction.
+        # them without rows, and root construction counts its column sums,
+        # so no row is pulled at all.
         rng = random.Random(0)
         db = _repeated_db([[(1, rng.randint(1, 3)) for _ in range(11)]], [1])
         cfg = MiningConfig(min_util=10**9)
         miner = _ShrinkMiner(db, cfg, None, None)
         assert miner.run().as_set() == mine_baseline(db, cfg).as_set()
-        assert miner.store.rows_pulled == 1
+        assert miner.store.rows_pulled == 0
 
     def test_many_copies_need_no_rows(self):
         # 18 copies of one item: 2^18 - 1 embeddings over 18 results. Both

@@ -2,18 +2,33 @@
 
 from __future__ import annotations
 
+import random
+import time
+from collections import Counter
+from fractions import Fraction
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luspm import (
+    ExternalUtilityTable,
+    MiningConfig,
+    QItem,
+    QSequence,
+    QSequenceDatabase,
     UtilityCounter,
     build_bit_index,
     build_max_non_con_seq_set,
     compute_utility,
     eups_prune,
+    generate_synthetic,
     get_utility_chain,
     is_subsequence,
+    mine_baseline,
+    mine_extend,
+    mine_shrink,
 )
+from luspm import preprocess
 from luspm.chains import ChainStore
 
 from conftest import A, B, C, random_database
@@ -125,3 +140,108 @@ class TestMaxNonConSeqSet:
                 if chain.column_sum(q) > min_util:
                     item_chain = get_utility_chain((seq.items[q],), db, index)
                     assert compute_utility(item_chain) > min_util
+
+
+def _rows_roots(store, min_util):
+    """The roots as built from rows: each sequence's chain pulled in full,
+    its column sums read from the rows, and every longer kept root holding
+    all of a candidate's items probed."""
+    candidates, seen = [], set()
+    for seq in store.db.sequences:
+        pattern = seq.items
+        rows = store.rows(pattern)
+        sums = [sum(util[d] for _, _, util in rows) for d in range(len(pattern))]
+        pruned = tuple(x for x, total in zip(pattern, sums) if total <= min_util)
+        if pruned and pruned not in seen:
+            seen.add(pruned)
+            candidates.append(pruned)
+    kept = []
+    for p in sorted(candidates, key=len, reverse=True):
+        if not any(
+            len(q) > len(p) and set(p) <= set(q) and is_subsequence(p, q) for q in kept
+        ):
+            kept.append(p)
+    return tuple(p for p in candidates if p in set(kept))
+
+
+def _copies(*lengths):
+    """One sequence per length, each that many copies of item 1 with
+    quantities cycling 1..3."""
+    return QSequenceDatabase(
+        tuple(
+            QSequence(sid, tuple(QItem(1, 1 + k % 3) for k in range(n)))
+            for sid, n in enumerate(lengths)
+        ),
+        ExternalUtilityTable({1: 1}),
+    )
+
+
+class TestRowFreeRoots:
+    THRESHOLDS = (0, 1, 2, 4, 8, 15, 30)
+
+    def test_roots_equal_the_rows_construction(self):
+        # Alphabets of 1-4 items make holders with several embeddings; every
+        # third database has Fraction utilities. The roots, their order and
+        # the chains counted equal those of the construction from rows.
+        several = fractions = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            db = generate_synthetic(
+                rng.randint(1, 8), rng.randint(1, 4), 1, rng.randint(1, 9), 4, 4, seed
+            )
+            if seed % 3 == 0:
+                table = {
+                    i: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                    for i in db.utilities.values
+                }
+                db = QSequenceDatabase(db.sequences, ExternalUtilityTable(table))
+                fractions += 1
+            index = build_bit_index(db)
+            for min_util in self.THRESHOLDS:
+                store = ChainStore(db, index, UtilityCounter())
+                roots = build_max_non_con_seq_set(store, min_util).roots
+                oracle = ChainStore(db, index, UtilityCounter())
+                assert roots == _rows_roots(oracle, min_util), (seed, min_util)
+                assert store.counter.count == oracle.counter.count
+            several += oracle.rows_pulled > len(db)
+        assert several and fractions
+
+    def test_many_embeddings_pull_no_rows(self):
+        # a^10 embeds C(20, 10) = 184,756 times in a^20; its column sums are
+        # counted, not listed.
+        db = _copies(10, 20)
+        store = ChainStore(db, build_bit_index(db), UtilityCounter())
+        roots = build_max_non_con_seq_set(store, 10**9).roots
+        assert roots == (db.sequences[1].items,)
+        assert store.rows_pulled == 0 and store.counter.count == 2
+
+    def test_many_copies_mine_in_bounded_time(self):
+        # Both miners mine a^10 + a^26 quickly; extend also a^10 + a^L for
+        # longer L, with the baseline's results.
+        cfg = MiningConfig(min_util=10**9)
+        db = _copies(10, 26)
+        expected = mine_baseline(db, cfg).as_set()
+        for miner in (mine_shrink, mine_extend):
+            started = time.perf_counter()
+            assert miner(db, cfg).as_set() == expected
+            assert time.perf_counter() - started < 0.1, miner.__name__
+        for n in (30, 40, 50, 60):
+            db = _copies(10, n)
+            assert mine_extend(db, cfg).as_set() == mine_baseline(db, cfg).as_set()
+
+    def test_antichain_probes_only_roots_with_enough_copies(self, monkeypatch):
+        # A candidate is tested for containment only against longer kept
+        # roots holding at least as many copies of each of its items.
+        probes = []
+
+        def recording(p, q):
+            probes.append((p, q))
+            return is_subsequence(p, q)
+
+        monkeypatch.setattr(preprocess, "is_subsequence", recording)
+        db = generate_synthetic(200, 8, 18, 22, 5, 5, seed=22)
+        store = ChainStore(db, build_bit_index(db))
+        roots = build_max_non_con_seq_set(store, 8).roots
+        assert len(roots) > 100 and probes
+        for p, q in probes:
+            assert len(q) > len(p) and not Counter(p) - Counter(q)
