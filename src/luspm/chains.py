@@ -360,9 +360,7 @@ class _HolderScan:
         holders = self.holders
         for i in range(self.start, len(holders)):
             seq = sequences[holders[i]]
-            embeddings = enumerate_embeddings(
-                self.pattern, seq, store.index, store.max_embeddings
-            )
+            embeddings = enumerate_embeddings(self.pattern, seq, store.index)
             if embeddings:
                 self.start = i + 1
                 store.rows_pulled += len(embeddings)
@@ -383,10 +381,9 @@ class ChainStore:
 
     ``evaluate`` builds no rows for a chain it has not drained: it sums each
     holder sequence's embeddings by a count DP over the same holders, and
-    with a ``threshold`` answers ``None`` as soon as the utility exceeds it.
-    A ``max_embeddings`` cap applies to each sequence's embeddings; a capped
-    store pulls each chain in full when it creates it, so a breach raises
-    there, before the chain is kept or counted, and evaluates from rows.
+    answers ``None`` as soon as the utility exceeds ``threshold``, which
+    bounds nothing by default. ``counter`` counts the chains created; a
+    store given none keeps its own.
     """
 
     def __init__(
@@ -394,13 +391,11 @@ class ChainStore:
         db: QSequenceDatabase,
         index: BitIndex | None,
         counter: UtilityCounter | None = None,
-        max_embeddings: int | None = None,
-        threshold=None,
+        threshold=inf,
     ):
         self.db = db
         self.index = index
-        self.counter = counter
-        self.max_embeddings = max_embeddings
+        self.counter = UtilityCounter() if counter is None else counter
         self.threshold = threshold
         self.rows_pulled = 0
         self._memo: dict[Pattern, LazyChain] = {}
@@ -415,12 +410,8 @@ class ChainStore:
         if chain is None:
             rows: list[TaggedRow] = []
             scan = _HolderScan(self, pattern, self._holders(pattern), rows)
-            chain = LazyChain(rows, scan)
-            if self.max_embeddings is not None:
-                chain.full()
-            self._memo[pattern] = chain
-            if self.counter is not None:
-                self.counter.increment()
+            chain = self._memo[pattern] = LazyChain(rows, scan)
+            self.counter.increment()
         return chain
 
     def rows(self, pattern: Pattern) -> TaggedRows:
@@ -432,16 +423,15 @@ class ChainStore:
         return SUChain(len(pattern), tuple(util for _, _, util in rows))
 
     def evaluate(self, pattern: Pattern):
-        """(true utility, support) of a pattern, or ``None`` if the store has
-        a threshold and the utility exceeds it.
+        """(true utility, support) of a pattern, or ``None`` if the utility
+        exceeds the store's threshold.
 
         A drained chain answers from its rows, and so does one whose rows
         pulled so far exceed the threshold. Otherwise the answer is summed
         without rows (``_sum_embeddings``), once per chain.
         """
         chain = self.tagged(pattern)
-        threshold = self.threshold
-        if threshold is not None and chain.total > threshold:
+        if chain.total > self.threshold:
             return None
         scan = chain._source
         if scan is None:
@@ -464,7 +454,7 @@ class ChainStore:
         match equals it, it is the holder's only embedding; any other holder
         is summed by ``_embedding_totals``.
         """
-        limit = inf if self.threshold is None else self.threshold
+        threshold = self.threshold
         sequences = self.db.sequences
         pattern, holders = scan.pattern, scan.holders
         depths = None
@@ -479,7 +469,7 @@ class ChainStore:
             left, right, _ = matches
             utils = self._sequence_utilities(holders[i])
             first = sum(map(utils.__getitem__, left))
-            if utility + first > limit:
+            if utility + first > threshold:
                 return None
             if left == right:
                 utility += first
@@ -488,7 +478,7 @@ class ChainStore:
             if depths is None:
                 depths = _depths(pattern)
             totals = _embedding_totals(
-                self._items(seq), utils, left, right, depths, limit - utility
+                self._items(seq), utils, left, right, depths, threshold - utility
             )
             if totals is None:
                 return None
@@ -553,10 +543,9 @@ def get_utility_chain(
     db: QSequenceDatabase,
     index: BitIndex | None = None,
     counter: UtilityCounter | None = None,
-    max_embeddings: int | None = None,
 ) -> SUChain:
     """The pattern's sequence-utility chain over the whole database."""
-    return ChainStore(db, index, counter, max_embeddings).chain(pattern)
+    return ChainStore(db, index, counter).chain(pattern)
 
 
 def support(

@@ -129,6 +129,13 @@ class RootSearch:
     one frame per drop, so below a root of length n a search is at most 2n
     frames deep, plus the store's and chains' calls at its deepest node. The
     roots are searched under that much headroom, and no more.
+
+    The length cap ``len_cap`` (``max_len``, or ``inf`` when there is none)
+    bounds the cursor of both searches. Every pattern below extend's node
+    ``(s, p)`` is at least ``p + 1`` long and every one below shrink's keeps
+    ``s[:p]``, so extend never advances its cursor to ``p >= len_cap`` and
+    shrink never to ``p > len_cap``: neither walks a node below which every
+    pattern is longer than the cap.
     """
 
     def __init__(
@@ -143,6 +150,7 @@ class RootSearch:
         # exact ``min_util``.
         self.threshold = comparison_threshold(self.min_util, db)
         self.max_len = cfg.max_len
+        self.len_cap = inf if cfg.max_len is None else cfg.max_len
         self.store = ChainStore(db, self._index(db), counter, threshold=self.threshold)
         self.shadow = shadow
         # Pattern -> bitmask of the positions it has been expanded at.
@@ -170,13 +178,6 @@ class RootSearch:
         finally:
             _add_to_recursion_limit(-headroom)
         return LuspResult.from_records(self._records(), self.min_util, self.max_len)
-
-    def _len_ok(self, pattern: Pattern) -> bool:
-        return self.max_len is None or len(pattern) <= self.max_len
-
-    def _admit(self, q: Pattern, value=None) -> None:
-        if self._len_ok(q):
-            self._admitted.setdefault(q, value)
 
 
 def enumerate_all_subsequences(

@@ -32,6 +32,10 @@ most that total: the bounds are monotone down the tree.
   already added, and a node in this regime records no cuts. n copies of one
   item cost about n²/2 admission nodes, not 2^n.
 
+Every prefix below cursor ``p`` is longer than ``p``, so no regime advances
+its cursor to ``p >= max_len``: a length cap bounds the walk, not only the
+output, and every cut made is within it.
+
 The bound of a prefix depends on the root whose chain reaches it: one root can
 admit a pattern that another root's chain bounds out. Admitted prefixes are
 therefore only collected during the search, together with every prefix some
@@ -52,8 +56,9 @@ state. The store evaluates a candidate
 against the threshold without building its rows, stopping once its utility
 exceeds it (see ``chains``).
 
-The threshold, the store, the node memo, the loop over the roots and its
-recursion headroom come from ``miner_base.RootSearch``, as in shrinkage.
+The threshold, the length cap, the store, the node memo, the loop over the
+roots and its recursion headroom come from ``miner_base.RootSearch``, as in
+shrinkage.
 """
 
 from __future__ import annotations
@@ -155,9 +160,9 @@ class _ExtendMiner(RootSearch):
         if column_bound(rows, range(p + 1)) > self.threshold:
             self._cut(s, p)
             return
-        if p + 1 < len(s):
+        if p + 1 < len(s) and p + 1 < self.len_cap:
             self._extension(s, rows, p + 1)
-        self._admit(s[: p + 1])
+        self._admitted.setdefault(s[: p + 1])
 
     def _extension_row(self, s: Pattern, util: tuple, p: int, total, head) -> None:
         """Rows regime at cursor ``p`` for one carried row with utilities
@@ -176,9 +181,9 @@ class _ExtendMiner(RootSearch):
         if bound > self.threshold:
             self._cut(s, p)
             return
-        if p + 1 < len(s):
+        if p + 1 < len(s) and p + 1 < self.len_cap:
             self._extension_row(s, util, p + 1, total, bound)
-        self._admit(s[: p + 1])
+        self._admitted.setdefault(s[: p + 1])
 
     def _cut(self, s: Pattern, p: int) -> None:
         """Record that the prefix ``s[:p + 1]`` bounds out its subtree, every
@@ -198,13 +203,11 @@ class _ExtendMiner(RootSearch):
         Roots are searched one after another, so the pair for the current
         root, if there is one, is the last of its prefix's list.
 
-        A prefix longer than ``max_len`` is not stored: every pattern below
-        it is longer still, and none is admitted.
+        The cursor never reaches the length cap, so no cut prefix is longer
+        than ``max_len`` and every cut is stored.
         """
         if self.shadow is not None:
             self.shadow.ebisps_cut(s[: p + 1], s[p + 1 :])
-        if self.max_len is not None and p >= self.max_len:
-            return
         prefix = s[: p + 1]
         root = self._root
         start = len(self.roots[root]) - len(s) + p + 1
@@ -222,17 +225,15 @@ class _ExtendMiner(RootSearch):
             entry[-1] = start
 
     def _admit_all(self, s: Pattern, p: int) -> None:
-        """Row-free regime at cursor ``p``: admit every ``s[:p] + r``, in
-        ``_extension``'s order, once per ``(s, p)``. Each of those is longer
-        than ``p``, so at ``p >= max_len`` there is nothing to admit."""
-        if self.max_len is not None and p >= self.max_len:
-            return
+        """Row-free regime at cursor ``p``: admit every ``s[:p] + r`` within
+        the length cap, in ``_extension``'s order, once per ``(s, p)``."""
         if not first_visit(self._expanded, s, p):
             return
         if p + 1 < len(s):
             self._admit_all(s[:p] + s[p + 1 :], p)
-            self._admit_all(s, p + 1)
-        self._admit(s[: p + 1])
+            if p + 1 < self.len_cap:
+                self._admit_all(s, p + 1)
+        self._admitted.setdefault(s[: p + 1])
 
 
 def mine_extend(

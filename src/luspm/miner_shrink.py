@@ -31,7 +31,9 @@ before ``_prune_item`` shrinks it.
 
 The threshold, the store, the node memo (``miner_base.first_visit``), the
 loop over the roots and its recursion headroom come from
-``miner_base.RootSearch``, which the extension miner shares. A root within
+``miner_base.RootSearch``, which the extension miner shares, and so does the
+length cap's bound on the cursor: every pattern below ``(s, p)`` keeps
+``s[:p]``, so no regime advances to ``p > max_len``. A root within
 the threshold is searched by ``_shrinkage(root, 0)`` alone: that reaches
 every removal product of the root, so a screened pass would repeat work.
 """
@@ -67,7 +69,8 @@ class _ShrinkMiner(RootSearch):
         search below cursor ``p`` in the regime its utility calls for."""
         totals = self.store.evaluate(q)
         if totals is not None:
-            self._admit(q, totals)
+            if len(q) <= self.len_cap:
+                self._admitted.setdefault(q, totals)
             if p < len(q):
                 self._shrinkage(q, p)
         elif p < len(q):
@@ -78,7 +81,7 @@ class _ShrinkMiner(RootSearch):
         remove it."""
         if not first_visit(self._expanded, s, p):
             return
-        if p + 1 < len(s):
+        if p + 1 < len(s) and p < self.len_cap:
             self._shrinkage(s, p + 1)
         if len(s) > 1:
             self._enter(s[:p] + s[p + 1 :], p)
@@ -95,7 +98,7 @@ class _ShrinkMiner(RootSearch):
             # evaluation a remove branch would apply; entered at its end, it
             # is not searched below, as the recursion here covers its subsets.
             self._enter(s, len(s))
-        if p + 1 < len(s):
+        if p + 1 < len(s) and p < self.len_cap:
             self._shrinkage_depth(s, chain, p + 1)
         if p >= len(s) or len(s) == 1:
             return
@@ -110,7 +113,7 @@ class _ShrinkMiner(RootSearch):
         """Whether ``q`` is within the length cap and its lower bound, the
         total of ``chain``, within the threshold; a bound above it skips
         ``q``'s evaluation."""
-        if not self._len_ok(q):
+        if len(q) > self.len_cap:
             return False
         if chain.exceeds(self.threshold):
             if self.shadow is not None:

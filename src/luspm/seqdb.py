@@ -96,10 +96,6 @@ class QSequenceDatabase:
     def __len__(self) -> int:
         return len(self.sequences)
 
-    def position_utility(self, seq: QSequence, pos: int) -> int | Fraction:
-        e = seq.elements[pos]
-        return e.quantity * self.utilities.value(e.item)
-
     def sequence_utilities(self, seq: QSequence) -> tuple:
         """Per-position utilities (quantity times external utility) of one sequence."""
         return tuple(e.quantity * self.utilities.value(e.item) for e in seq.elements)

@@ -5,14 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, groupby
+from math import inf
 from operator import itemgetter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luspm import (
-    EmbeddingCapExceeded,
     ExternalUtilityTable,
     MiningConfig,
     QSequence,
@@ -203,9 +202,9 @@ class TestTotalsScan:
             for p in sorted(patterns):
                 rows = _reference_rows(db, p)
                 total = rows_total(rows)
-                for t in (*_thresholds([total]), total + 1, None):
+                for t in (*_thresholds([total]), total + 1, inf):
                     store = ChainStore(db, index, UtilityCounter(), threshold=t)
-                    expected = None if t is not None and total > t else (total, len(rows))
+                    expected = None if total > t else (total, len(rows))
                     assert store.evaluate(p) == expected, (seed, p, t)
                     assert store.rows_pulled == 0
                     assert store.counter.count == 1
@@ -229,7 +228,7 @@ class TestTotalsScan:
             rows = _reference_rows(db, p)
             total = rows_total(rows)
             for pull in range(len(rows) + 1):
-                for t in (total, None):
+                for t in (total, inf):
                     store = ChainStore(db, build_bit_index(db), threshold=t)
                     chain = store.tagged(p)
                     chain.exceeds(rows_total(rows[:pull]) - 1)
@@ -524,8 +523,7 @@ class TestScan:
     def test_rows_equal_a_combinations_reference(self):
         # Alphabets of 1-3 items repeat items; odd seeds use Fraction
         # utilities. Item 9 is in no sequence, and patterns run longer than
-        # the longest sequence. At a cap of the most embeddings any one
-        # sequence has, the build succeeds; one below, it raises.
+        # the longest sequence.
         absent = longer = unique = several = 0
         for seed in range(80):
             rng = random.Random(seed)
@@ -548,11 +546,7 @@ class TestScan:
                 assert ChainStore(db, None).rows(p) == expected
                 absent += not expected
                 longer += len(p) > max(len(seq) for seq in db.sequences)
-                cap = max(sum(sid == seq.sid for sid, _, _ in expected) for seq in db.sequences)
-                assert ChainStore(db, index, max_embeddings=cap).rows(p) == expected
-                if cap:
-                    with pytest.raises(EmbeddingCapExceeded):
-                        ChainStore(db, index, max_embeddings=cap - 1).rows(p)
-                unique += cap == 1
-                several += cap > 1
+                most = max(sum(sid == seq.sid for sid, _, _ in expected) for seq in db.sequences)
+                unique += most == 1
+                several += most > 1
         assert absent and longer and unique and several

@@ -1,10 +1,14 @@
-"""Exhaustive baseline miner and the result model."""
+"""Exhaustive baseline miner, the result model and the root-search
+scaffold."""
 
 from __future__ import annotations
 
+import ast
+import inspect
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 from itertools import combinations
 from math import comb
 
@@ -25,10 +29,13 @@ from luspm import (
     compute_utility,
     enumerate_all_subsequences,
     estimate_utility_computations,
+    generate_synthetic,
     get_utility_chain,
     mine_baseline,
     support,
 )
+from luspm.miner_extend import _ExtendMiner
+from luspm.miner_shrink import _ShrinkMiner
 
 from conftest import random_database
 
@@ -262,3 +269,72 @@ class TestEstimate:
         assert estimate_utility_computations(ref_db, 1) == sum(
             len(s) for s in ref_db.sequences
         )
+
+
+class TestRootSearch:
+    # Each miner's recursive steps, with the cursor below which every pattern
+    # holds nothing within a length cap: extend's patterns below ``(s, p)``
+    # are longer than ``p``, shrink's keep ``s[:p]``.
+    STEPS = [
+        (_ExtendMiner, "_extension", 1),
+        (_ExtendMiner, "_extension_row", 1),
+        (_ExtendMiner, "_admit_all", 1),
+        (_ShrinkMiner, "_shrinkage", 0),
+        (_ShrinkMiner, "_shrinkage_depth", 0),
+    ]
+
+    def test_length_cap_bounds_every_cursor(self, monkeypatch):
+        # Neither search walks a node below which every pattern is longer
+        # than the cap: extend never reaches p >= max_len, shrink never
+        # p > max_len, in any regime, and both still return the baseline's
+        # results.
+        cases = [(generate_synthetic(30, 4, 13, 14, 5, 5, seed=7), 8)]
+        cases += [(random_database(seed), (3, 6, 12)[seed % 3]) for seed in range(20)]
+        cursors = {name: [] for _, name, _ in self.STEPS}
+
+        def recording(cls, name, longer):
+            step = getattr(cls, name)
+            signature = inspect.signature(step)
+
+            def wrapper(miner, *args):
+                p = signature.bind(miner, *args).arguments["p"]
+                cursors[name].append(p + longer - miner.max_len)
+                return step(miner, *args)
+
+            return wrapper
+
+        for cls, name, longer in self.STEPS:
+            monkeypatch.setattr(cls, name, recording(cls, name, longer))
+        for db, min_util in cases:
+            for max_len in (1, 2, 3):
+                cfg = MiningConfig(min_util=min_util, max_len=max_len)
+                expected = mine_baseline(db, cfg).as_set()
+                for cls in (_ExtendMiner, _ShrinkMiner):
+                    assert cls(db, cfg, None, None).run().as_set() == expected
+        # Every step ran, and never beyond the cap; extend's walks reach the
+        # cap's last cursor and shrink's the cap itself.
+        for name, excess in cursors.items():
+            assert excess and max(excess) == 0, name
+
+    def test_one_place_sets_the_recursion_limit(self):
+        # The recursion limit is interpreter-wide; only the locked, relative
+        # ``miner_base._add_to_recursion_limit`` may change it.
+        package = Path(inspect.getfile(_ShrinkMiner)).parent
+        calls = []
+
+        def visit(node, scope, module):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = scope + (node.name,)
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "setrecursionlimit":
+                    calls.append((module, ".".join(scope)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope, module)
+
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) > 10
+        for path in modules:
+            visit(ast.parse(path.read_text()), (), path.stem)
+        assert calls == [("miner_base", "_add_to_recursion_limit")]

@@ -65,14 +65,15 @@ def _copies(n, item=1):
 
 def _reference_extension(db, min_util, max_len=None):
     """Extension search over every position subset of every root, with rows
-    and bounds at each node and no memo: the admitted candidates in order and
-    the distinct cuts (prefix, residual)."""
+    and bounds at each node and no memo, its cursor stopped at the length
+    cap: the admitted candidates in order and the distinct cuts (prefix,
+    residual)."""
     store = ChainStore(db, build_bit_index(db))
     candidates = {}
     cuts = set()
 
     def walk(s, rows, p):
-        if p >= len(s):
+        if p >= len(s) or (max_len is not None and p >= max_len):
             return
         keep = [*range(p), *range(p + 1, len(s))]
         walk(s[:p] + s[p + 1 :], chains.restrict_rows(rows, keep), p)
@@ -80,8 +81,7 @@ def _reference_extension(db, min_util, max_len=None):
             cuts.add((s[: p + 1], s[p + 1 :]))
             return
         walk(s, rows, p + 1)
-        if max_len is None or p + 1 <= max_len:
-            candidates[s[: p + 1]] = None
+        candidates[s[: p + 1]] = None
 
     for root in build_max_non_con_seq_set(store, min_util).roots:
         walk(root, store.rows(root), 0)
@@ -190,13 +190,15 @@ class TestCounter:
 
 class TestAdmission:
     def _mine(self, monkeypatch, db, cfg, shadow=None):
-        """Mine, counting kernel calls and admission expansions."""
+        """Mine, counting kernel calls and admission expansions, and keeping
+        the largest cursor an expansion or a prefix bound was taken at."""
         count = Counter()
         first_visit = miner_extend.first_visit
 
         def counting_first_visit(expanded, s, p):
             first = first_visit(expanded, s, p)
             count["expansions"] += first
+            count["cursor"] = max(count["cursor"], p)
             return first
 
         def counted(name):
@@ -204,6 +206,8 @@ class TestAdmission:
 
             def wrapper(*args):
                 count[name] += 1
+                if name == "column_bound":
+                    count["cursor"] = max(count["cursor"], len(args[1]) - 1)
                 return fn(*args)
 
             return wrapper
@@ -265,9 +269,9 @@ class TestAdmission:
             assert result.as_set() == mine_baseline(db, cfg).as_set()
 
     def test_length_cap_stops_the_row_free_walk(self, monkeypatch):
-        # Below cursor p every admitted pattern is longer than p, so the walk
-        # expands no node at p >= max_len; the rows regime, and with it every
-        # cut, is the uncapped run's.
+        # Below cursor p every admitted pattern is longer than p, so neither
+        # the row-free walk nor the rows regime reaches a node at
+        # p >= max_len: both do strictly less than the uncapped run.
         db = generate_synthetic(30, 4, 13, 14, 5, 5, seed=7)
         _, uncapped = self._mine(monkeypatch, db, MiningConfig(min_util=8))
         assert uncapped["expansions"] > 0
@@ -275,8 +279,9 @@ class TestAdmission:
             cfg = MiningConfig(min_util=8, max_len=max_len)
             result, count = self._mine(monkeypatch, db, cfg)
             assert count["expansions"] < uncapped["expansions"]
-            assert count["restrict_rows"] == uncapped["restrict_rows"]
-            assert count["column_bound"] == uncapped["column_bound"]
+            assert count["restrict_rows"] < uncapped["restrict_rows"]
+            assert count["column_bound"] < uncapped["column_bound"]
+            assert count["cursor"] < max_len
             assert result.as_set() == mine_baseline(db, cfg).as_set()
 
     def test_one_row_walk_takes_over_after_a_collapse(self, monkeypatch):
@@ -420,7 +425,7 @@ class TestCutStore:
     @pytest.mark.parametrize("max_len", [1, 2, 3])
     def test_length_cap_stores_no_longer_prefix(self, max_len):
         # The capped store is the uncapped one without its prefixes longer
-        # than the cap; the shadow still sees every cut.
+        # than the cap, and the cuts the shadow sees are the stored ones.
         cases = [(generate_synthetic(30, 4, 13, 14, 5, 5, seed=7), 8)]
         cases += [(random_database(seed), 6) for seed in range(20)]
         dropped = kept = 0
@@ -438,8 +443,8 @@ class TestCutStore:
                 for prefix, pairs in _stored_cuts(uncapped).items()
                 if len(prefix) <= max_len
             }
-            assert {p for p, _ in shadow.cuts} == set(_stored_cuts(uncapped))
-            dropped += any(len(p) > max_len for p, _ in shadow.cuts)
+            assert {p for p, _ in shadow.cuts} == set(stored)
+            dropped += any(len(p) > max_len for p in _stored_cuts(uncapped))
             kept += bool(stored)
         assert dropped and kept
 
