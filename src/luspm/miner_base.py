@@ -5,15 +5,16 @@ The baseline enumerates every distinct subsequence of every database sequence
 and keeps those with positive utility at most the threshold. It applies no
 pruning and serves as the ground-truth oracle for the other miners.
 
-It sweeps each sequence once with a dynamic program over the sequence's
-distinct subsequences rather than over its position subsets: every pattern
-seen so far carries its utility sum and embedding count, and a position
-holding item ``x`` extends each of them by ``x``, adding the pattern's
-embedding count times the position's utility. The sums are exact (``int`` or
-``Fraction``) and cover every embedding, so the result is the exhaustive one,
-at a cost set by the number of distinct subsequences: n copies of one item
-take about n²/2 steps over n patterns, not 2^n position subsets. The program
-shares no code with the chain layer the other miners search.
+It sweeps each sequence once per item it holds, from that item's first copy
+on, with a dynamic program over distinct subsequences rather than position
+subsets: every pattern seen so far carries its utility sum and embedding
+count, and a position holding item ``x`` extends each of them by ``x``,
+adding the pattern's embedding count times the position's utility. The
+sums are exact (``int`` or ``Fraction``) and cover every embedding, so the
+result is the exhaustive one, at a cost set by the number of distinct
+subsequences: n copies of one item take about n²/2 steps over n patterns,
+not 2^n position subsets. The program shares no code with the chain layer
+the other miners search.
 
 Patterns are integer ids in a prefix trie (the lexicographic sequence tree of
 USpan, Yin, Zheng and Cao, KDD 2012): id ``g`` is pattern ``parent[g]``
@@ -21,7 +22,9 @@ followed by ``item[g]``, and id 0 is the empty pattern. Totals live in lists
 indexed by id, and within a sequence by a local id in creation order, so a
 step of the program is a few list reads and writes, with no pattern tuple and
 no totals tuple built. A pattern's item tuple is built only for the ids kept
-in the result.
+in the result. Patterns with different first items share no trie node, so
+each first item's trie is built, read and freed before the next: the peak is
+the largest such class plus the results, not every distinct pattern.
 """
 
 from __future__ import annotations
@@ -186,27 +189,56 @@ def enumerate_all_subsequences(
     cap: int | None = DEFAULT_CANDIDATE_CAP,
 ) -> set[Pattern]:
     """All distinct non-empty subsequences (as item sequences) of all database
-    sequences, length-capped during generation."""
-    parent, item, _, _ = _aggregate_candidates(db, max_len, cap)
-    patterns = [()]
-    for g in range(1, len(parent)):
-        patterns.append(patterns[parent[g]] + (item[g],))
-    return set(patterns[1:])
+    sequences, length-capped during generation, spelled out class by class."""
+    patterns: set[Pattern] = set()
+
+    def gather(parent, item, ut, cnt):
+        built = [()]
+        for g in range(1, len(parent)):
+            built.append(built[parent[g]] + (item[g],))
+        patterns.update(built[1:])
+
+    _aggregate_candidates(db, max_len, cap, gather)
+    return patterns
 
 
-def _aggregate_candidates(db, max_len, cap):
-    """The trie of every distinct pattern of length at most ``max_len``, with
-    its utility sum and embedding count over every embedding in every
-    sequence, as the lists ``(parent, item, ut, cnt)`` indexed by trie id.
+def _aggregate_candidates(db, max_len, cap, visit) -> int:
+    """Hand ``visit`` each first item's ``_class_trie``, and return the number
+    of distinct patterns. Every embedding has exactly one first item, so the
+    classes partition the patterns, with their totals. A class, and a
+    sequence's row after its last class, is released before the next class
+    is built. ``CandidateCapExceeded`` is raised as soon as the classes built
+    so far hold more than ``cap`` distinct patterns, even inside one long
+    sequence: exactly when more than ``cap`` distinct patterns exist."""
+    holders: dict = {}  # item -> (items, utilities) of each sequence holding it
+    for seq in db.sequences:
+        row = (seq.items, db.sequence_utilities(seq))
+        for x in set(row[0]):
+            holders.setdefault(x, []).append(row)
+    total = 0
+    while holders:
+        parent, item, ut, cnt = _class_trie(*holders.popitem(), max_len, cap, total)
+        total += len(parent) - 1
+        visit(parent, item, ut, cnt)
+        del parent, item, ut, cnt  # before the next class is built
+    return total
+
+
+def _class_trie(x0, rows, max_len, cap, seen):
+    """The trie ``(parent, item, ut, cnt)`` of the patterns of length at most
+    ``max_len`` that start with ``x0``, summed over ``rows``, the items and
+    utilities of the sequences holding ``x0``. ``seen`` patterns of other
+    classes already count against ``cap``.
 
     Pattern ``g`` is pattern ``parent[g]`` followed by ``item[g]``; id 0 is
     the empty pattern, and a child's id is larger than its parent's.
 
-    Each sequence is swept once, left to right. Every distinct pattern of the
-    positions seen so far has a local id, in creation order, holding its trie
-    id and its sequence's ``(ut, cnt)``; local 0 is the empty pattern, with
-    count 1. ``kid[x][l]`` is the local id of ``l``'s ``x``-extension, or 0
-    (no pattern's extension) when ``l`` is already ``max_len`` long. The
+    Each sequence is swept once, left to right, from its first ``x0``. Every
+    distinct pattern of the positions seen so far has a local id, in creation
+    order, holding its trie id and its sequence's ``(ut, cnt)``; local 0 is
+    the empty pattern, with count 1. ``kid[x][l]`` is the local id of ``l``'s
+    ``x``-extension, or 0 (no pattern's extension) when ``l`` is already
+    ``max_len`` long, or is the empty pattern and ``x`` is not ``x0``. The
     embeddings of ``l + x`` that end at a position holding ``x`` with utility
     ``u`` are ``l``'s earlier embeddings, each extended by that position, so
     ``l`` adds ``(ut + cnt * u, cnt)`` to ``l + x``. At such a position:
@@ -219,28 +251,26 @@ def _aggregate_candidates(db, max_len, cap):
        its parent's, so each parent is read before it gains this position's
        embeddings as an extension itself.
 
-    The empty pattern's extension is the singleton, which gains ``(u, 1)``.
-    At the sequence's end its local totals are added to the trie's. Every
-    embedding is counted once, in the totals of the pattern it induces, so
-    the sums are the exact utility and support: repeated embeddings are
-    summed rather than listed, and nothing is pruned. No tuple is built per
-    step.
-
-    ``CandidateCapExceeded`` is raised when a new trie id exceeds ``cap``,
-    that is exactly when more than ``cap`` distinct patterns exist, as soon
-    as one appears, even inside a single long sequence.
+    The empty pattern's one extension is ``(x0,)``, which gains ``(u, 1)`` at
+    each ``x0``. At the sequence's end its local totals are added to the
+    trie's. Every embedding that starts with ``x0`` is counted once, in the
+    totals of the pattern it induces, so the sums are the exact utility and
+    support: repeated embeddings are summed rather than listed, and nothing
+    is pruned. No tuple is built per step.
     """
-    limit = inf if cap is None else cap
+    room = inf if cap is None else cap - seen
     parent, item, depth, ut, cnt = [0], [None], [0], [0], [0]
     children: dict = {}  # item -> {parent id: child id}
-    for seq in db.sequences:
-        longest = len(seq) if max_len is None else max_len
+    for items, utils in rows:
+        start = items.index(x0)
+        longest = len(items) if max_len is None else max_len
         tid, lut, lcnt = [0], [0], [1]
         kid: dict = {}
-        for x, u in zip(seq.items, db.sequence_utilities(seq)):
+        for x, u in zip(items[start:], utils[start:]):
             ks = kid.get(x)
             if ks is None:
-                ks = kid[x] = []
+                # The empty pattern is extended by ``x0`` alone.
+                ks = kid[x] = [] if x == x0 else [0]
             xs = children.get(x)
             if xs is None:
                 xs = children[x] = {}
@@ -254,7 +284,7 @@ def _aggregate_candidates(db, max_len, cap):
                 c = xs.get(g)
                 if c is None:
                     c = xs[g] = len(parent)
-                    if c > limit:
+                    if c > room:
                         raise _cap_exceeded(cap)
                     parent.append(g)
                     item.append(x)
@@ -293,36 +323,40 @@ def mine_baseline(
     """Evaluate the true utility of every candidate; keep those with
     0 < utility <= min_util and length <= max_len."""
     min_util = resolve_min_util(cfg, db)
-    parent, item, ut, cnt = _aggregate_candidates(db, cfg.max_len, cap)
-    if counter is not None:
-        counter.increment(len(parent) - 1)
     # An int utility is at most ``min_util`` exactly when it is at most its
     # floor, which spares a ``Fraction`` comparison per candidate under a
     # sigma threshold; any other utility is compared with ``min_util`` itself.
-    # The empty pattern's total is 0, so it is never kept. Item tuples are
-    # built only for kept ids: ids ascend and a parent's id is smaller than
-    # its child's, so a kept parent is built first, and a parent that is not
-    # is built, with its unbuilt ancestors, by walking up ``parent``.
     whole = floor(min_util)
-    built = [None] * len(parent)
-    built[0] = ()
     records = []
-    for g, utility in enumerate(ut):
-        if 0 < utility and (
-            utility <= whole if type(utility) is int else utility <= min_util
-        ):
-            q = parent[g]
-            pattern = built[q]
-            if pattern is None:
-                path = []
-                while pattern is None:
-                    path.append(q)
-                    q = parent[q]
-                    pattern = built[q]
-                for h in reversed(path):
-                    pattern = built[h] = pattern + (item[h],)
-            pattern = built[g] = pattern + (item[g],)
-            records.append(LuspRecord(pattern, utility, cnt[g]))
+
+    def keep(parent, item, ut, cnt):
+        # The empty pattern's total is 0, so it is never kept. Item tuples
+        # are built only for kept ids: ids ascend and a parent's id is
+        # smaller than its child's, so a kept parent is built first, and a
+        # parent that is not is built, with its unbuilt ancestors, by walking
+        # up ``parent``.
+        built = [None] * len(parent)
+        built[0] = ()
+        for g, utility in enumerate(ut):
+            if 0 < utility and (
+                utility <= whole if type(utility) is int else utility <= min_util
+            ):
+                q = parent[g]
+                pattern = built[q]
+                if pattern is None:
+                    path = []
+                    while pattern is None:
+                        path.append(q)
+                        q = parent[q]
+                        pattern = built[q]
+                    for h in reversed(path):
+                        pattern = built[h] = pattern + (item[h],)
+                pattern = built[g] = pattern + (item[g],)
+                records.append(LuspRecord(pattern, utility, cnt[g]))
+
+    total = _aggregate_candidates(db, cfg.max_len, cap, keep)
+    if counter is not None:
+        counter.increment(total)
     return LuspResult.from_records(records, min_util, cfg.max_len)
 
 

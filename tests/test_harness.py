@@ -70,6 +70,24 @@ class TestRunOnce:
         assert result.as_set() == mine_shrink(small_db, MiningConfig(min_util=12)).as_set()
         assert report.peak_bytes > 0
 
+    def test_cap_abort_is_a_status(self, small_db, monkeypatch):
+        # A baseline that exceeds its candidate cap is reported, not raised:
+        # no patterns, no utility computations, and no traced second call.
+        tracing = []
+
+        def capped(db, cfg, counter=None):
+            tracing.append(tracemalloc.is_tracing())
+            return mine_baseline(db, cfg, counter, cap=10)
+
+        monkeypatch.setattr("luspm.harness.mine_baseline", capped)
+        result, report = run_once(small_db, MiningConfig(min_util=12), "base")
+        assert result is None
+        assert report.status == "cap_exceeded"
+        assert report.patterns == 0
+        assert report.utility_computations == 0
+        assert report.peak_bytes == 0
+        assert tracing == [False]
+
     def test_extend_needs_less_memory_than_shrink(self):
         # The paper reports that LUSPM_e needs less memory than LUSPM_s. On
         # the benchmark's sparse database, extend's traced peak is at most

@@ -32,8 +32,10 @@ from luspm import (
     generate_synthetic,
     get_utility_chain,
     mine_baseline,
+    run_once,
     support,
 )
+from luspm.miner_base import _aggregate_candidates
 from luspm.miner_extend import _ExtendMiner
 from luspm.miner_shrink import _ShrinkMiner
 
@@ -136,6 +138,16 @@ class TestMineBaseline:
         for r in result.records:
             assert support(r.pattern, db) == r.support
 
+    def test_peak_is_a_first_item_class(self):
+        # The benchmark's sparse database has 120,468 distinct patterns, and
+        # one trie of them all peaked above 12 MiB; its largest first-item
+        # class has 8,215.
+        db = generate_synthetic(100, 30, 8, 12, 5, 5, 1)
+        result, report = run_once(db, MiningConfig(sigma=Fraction(1, 1000)), "base")
+        assert report.status == "ok" and len(result) == 253
+        assert report.utility_computations == 120_468
+        assert report.peak_bytes < 3 * 2**20
+
 
 class TestAgainstSubsetSweep:
     """The baseline against a brute-force sweep of every position subset."""
@@ -169,6 +181,46 @@ class TestAgainstSubsetSweep:
             cfg = MiningConfig(sigma=Fraction(1, 7))
             result = mine_baseline(db, cfg)
             assert result.as_set() == _low_utility(_subset_sweep(db), result.min_util)
+
+    def test_first_item_classes_partition_the_patterns(self):
+        # Each trie handed to the visitor holds the patterns of one first
+        # item; the classes are disjoint, and together, with their totals,
+        # they are every distinct pattern of every sequence.
+        for seed in range(240):
+            db = random_database(seed)
+            if seed % 4 == 0:
+                db = _fractional(db, seed)
+            if seed % 5 == 0:
+                # Copies of one item, with another between them.
+                run = (1, 1, 1, 1, 2, 1, 1, 1, 1)
+                reps = tuple(QItem(x, 1 + j % 3) for j, x in enumerate(run))
+                db = QSequenceDatabase(
+                    db.sequences + (QSequence(99, reps),),
+                    ExternalUtilityTable({1: 2, 2: 1, **db.utilities.values}),
+                )
+            items = {x for seq in db.sequences for x in seq.items}
+            for max_len in (None, 1, 2, 3):
+                classes = []
+
+                def visit(parent, item, ut, cnt):
+                    built, totals = [()], {}
+                    for g in range(1, len(parent)):
+                        built.append(built[parent[g]] + (item[g],))
+                        totals[built[g]] = [ut[g], cnt[g]]
+                    classes.append(totals)
+
+                total = _aggregate_candidates(db, max_len, None, visit)
+                union = {}
+                for totals in classes:
+                    first = {pattern[0] for pattern in totals}
+                    assert len(first) == 1, (seed, max_len)
+                    assert union.keys().isdisjoint(totals), (seed, max_len)
+                    union.update(totals)
+                assert {pattern[0] for pattern in union} == items
+                assert len(classes) == len(items), (seed, max_len)
+                assert union == _subset_sweep(db, max_len), (seed, max_len)
+                assert total == len(union)
+                assert enumerate_all_subsequences(db, max_len) == set(union)
 
     def test_copies_of_one_item(self):
         # a^k embeds once per k-subset of the n positions, and each position
