@@ -14,10 +14,12 @@ parent further when it runs out. So every chain's rows are whole sequences'
 rows, grouped by sequence, in the order a full build gives them.
 
 Rows are read only for the questions that need them: whether a chain's total
-exceeds the threshold, the frozen-prefix marking, restriction, and full
-rows. A pattern's exact utility and support (``ChainStore.evaluate``) need
-no rows: they are summed over the same holder sequences by an embedding-count
-DP, which stops once the utility exceeds the threshold. Its column sums
+exceeds the threshold, whether its rows projected onto a subset of its
+columns sum above the threshold or keep exactly one distinct row, the
+frozen-prefix marking, restriction, and full rows. A pattern's exact utility
+and support (``ChainStore.evaluate``) need no rows: they are summed over the
+same holder sequences by an embedding-count DP, which stops once the utility
+exceeds the threshold. Its column sums
 (``ChainStore.column_sums``), which root construction prunes by, come from
 the same DP run forward and backward. A chain already
 drained, or whose pulled rows already exceed the threshold, answers from its
@@ -152,6 +154,62 @@ class LazyChain:
             if not self._pull():
                 return False
         return True
+
+    def exceeds_on(self, cols: Sequence[int], threshold) -> bool:
+        """Whether this chain's rows projected onto ``cols``, deduplicated on
+        (sid, projected positions), sum above ``threshold``: the total of
+        ``restrict_rows(rows, cols)``, or ``column_bound(rows, cols)``.
+
+        Rows are read in order, pulling further holders only while the sum
+        is within the threshold. A sequence's first row cannot collide with
+        an earlier sequence's, so each sequence's rows are deduplicated on
+        their own.
+        """
+        take = _columns(cols)
+        total = 0
+        last = seen = None
+        k = 0
+        while k < len(self.rows) or self._pull():
+            sid, pos, util = self.rows[k]
+            k += 1
+            key = take(pos)
+            if sid != last:
+                last = sid
+                seen = {key}
+            elif key in seen:
+                continue
+            else:
+                seen.add(key)
+            total += sum(take(util))
+            if total > threshold:
+                return True
+        return total > threshold
+
+    def lone_row(self, cols: Sequence[int]) -> tuple | None:
+        """The utilities of the one distinct row of this chain projected onto
+        ``cols``, or ``None`` when the projection has two or more rows (or
+        none).
+
+        A second distinct row ends the scan: a row of another sequence, or
+        one whose projected positions differ from the first row's. Only a
+        one-row projection pulls the chain to its end. The identity
+        projection gives the row's own utility tuple.
+        """
+        if not self.rows and not self._pull():
+            return None
+        sid, pos, util = self.rows[0]
+        if len(cols) == len(pos):
+            # The identity projection: the chain's rows are already distinct.
+            return None if len(self.rows) > 1 or self._pull() else util
+        take = _columns(cols)
+        key = take(pos)
+        k = 1
+        while k < len(self.rows) or self._pull():
+            other, pos, _ = self.rows[k]
+            if other != sid or take(pos) != key:
+                return None
+            k += 1
+        return take(util)
 
     def marked(self, p: int, width: int, threshold) -> list[int]:
         """The columns ``i`` in ``p .. width - 1`` whose frozen-prefix bound,
@@ -375,8 +433,8 @@ class ChainStore:
 
     A pattern's own chain pulls its rows from a ``_HolderScan``, the
     package's one scan of the database for a pattern's embeddings; every row
-    question (``LazyChain.exceeds``, ``marked``, ``restrict``, ``full`` and
-    ``rows``) is read from those rows. ``rows_pulled`` counts the rows the
+    question (``LazyChain.exceeds``, ``exceeds_on``, ``lone_row``,
+    ``marked``, ``restrict``, ``full`` and ``rows``) is read from those rows. ``rows_pulled`` counts the rows the
     scans have produced.
 
     ``evaluate`` builds no rows for a chain it has not drained: it sums each

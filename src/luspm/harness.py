@@ -25,6 +25,7 @@ from .occurrence import UtilityCounter
 from .seqdb import (
     MiningConfig,
     QSequenceDatabase,
+    resolve_min_util,
     serialize_spmf,
     serialize_utility_table,
 )
@@ -158,20 +159,12 @@ def timed_run(
         status = "cap_exceeded"
     runtime_ms = (time.perf_counter() - t0) * 1000.0
 
-    if result is not None:
-        min_util = str(result.min_util)
-        max_len = result.max_len
-        patterns = len(result)
-    else:
-        min_util = str(cfg.min_util if cfg.min_util is not None else cfg.sigma)
-        max_len = cfg.max_len
-        patterns = 0
     report = MetricsReport(
         algo=algorithm,
         dataset_hash=dataset_hash,
-        min_util=min_util,
-        max_len=max_len,
-        patterns=patterns,
+        min_util=str(resolve_min_util(cfg, db)),
+        max_len=cfg.max_len,
+        patterns=0 if result is None else len(result),
         utility_computations=counter.count,
         runtime_ms=runtime_ms,
         peak_bytes=0,
@@ -215,6 +208,7 @@ def run_sweep(
         fingerprint = dataset_fingerprint(sub)
         for cfg in spec.configs():
             threshold = cfg.min_util if cfg.min_util is not None else cfg.sigma
+            min_util = str(resolve_min_util(cfg, sub))
             for rep in range(spec.repetitions):
                 for algo in algorithms:
                     try:
@@ -223,7 +217,7 @@ def run_sweep(
                         report = MetricsReport(
                             algo,
                             fingerprint,
-                            str(threshold),
+                            min_util,
                             cfg.max_len,
                             0,
                             0,

@@ -1,27 +1,40 @@
 """Extension miner: grow an accumulated prefix along each root's positions.
 
-At every cursor position the search either drops the position (column deleted
-from the carried chain) or appends its item to the accumulated pattern. An
-appended prefix is admitted only while its restricted chain sum (the lower
-bound LBS) stays within the threshold; once it exceeds it, nothing above that
-prefix inside this root can be a result, so the whole subtree is cut.
+At every cursor position the search either drops the position (its column
+leaves the node's view of the root's chain) or appends its item to the
+accumulated pattern. An appended prefix is admitted only while its restricted
+chain sum (the lower bound LBS) stays within the threshold; once it exceeds
+it, nothing above that prefix inside this root can be a result, so the whole
+subtree is cut.
 
-The search has two regimes, chosen per node by the total of the rows it
-carries. Utilities are strictly positive and restriction deduplicates rows,
-so every bound in a node's subtree, prefix bound or restricted total, is at
-most that total: the bounds are monotone down the tree.
+A node carries no rows of its own. It holds its root's lazy chain and
+``cols``, the root columns its pattern keeps. Its rows are the chain's rows
+projected onto ``cols`` and deduplicated on (sid, projected positions). A
+row's utilities depend only on its sid and positions, so these are exactly
+the rows that restricting the root's chain drop by drop would give. The node
+asks three questions of them, each by one scan of the chain's rows that stops
+once its answer is known (``LazyChain.exceeds_on`` and ``lone_row``): do they
+total above the threshold, is there exactly one, and does the prefix bound at
+the cursor exceed the threshold. Each sum only grows as rows are read, so an
+early answer is the full chain's, and the chain is pulled one holder at a
+time only while a question is undecided.
 
-- Above the threshold (``_extension``), the node carries its rows, computes
-  each prefix bound and cuts where one exceeds the threshold. This regime
-  alone makes cuts; it is not memoized. Most such nodes carry one row, and
-  one row cannot collapse under restriction: the restricted row is the
-  row's utility tuple with the dropped entries removed. So a one-row node
-  (``_extension_row``) carries only that tuple, its total and the running
-  sum ``head`` of its entries before the cursor. Dropping position ``p``
-  takes ``u[p]`` off the total and out of the tuple; appending it gives the
-  prefix bound ``head + u[p]``. These are the values the kernels compute on
-  the row, exactly, so the walk makes the same cuts and admissions. A
-  multi-row node hands off to it once a restriction leaves one row.
+The search has two regimes, chosen per node by the total of its rows.
+Utilities are strictly positive and restriction deduplicates rows, so every
+bound in a node's subtree, prefix bound or restricted total, is at most that
+total: the bounds are monotone down the tree.
+
+- Above the threshold (``_extension``), the node asks each prefix bound and
+  cuts where one exceeds the threshold. This regime alone makes cuts; it is
+  not memoized. Most such nodes have one row, and one row cannot collapse
+  under restriction: the restricted row is the row's utility tuple with the
+  dropped entries removed. So a one-row node (``_extension_row``) carries
+  only that tuple, its total and the running sum ``head`` of its entries
+  before the cursor. Dropping position ``p`` takes ``u[p]`` off the total
+  and out of the tuple; appending it gives the prefix bound ``head + u[p]``.
+  These are the values the scans give on the row, exactly, so the walk
+  makes the same cuts and admissions. A multi-row node hands off to it once
+  a drop leaves one row.
 - Within the threshold (``_admit_all``), no bound below the node can exceed
   the threshold, so the subtree makes no cut and admits every ``s[:p] + r``,
   ``r`` a non-empty subsequence of ``s[p:]``. The walk keeps the rows
@@ -63,7 +76,10 @@ shrinkage.
 
 from __future__ import annotations
 
-from .chains import TaggedRows, column_bound, restrict_rows, rows_total
+# ``column_bound`` and ``restrict_rows`` are not called here; they stay
+# imported because the benchmark's tracer (perfbench/tracer.py) patches this
+# module's names for them.
+from .chains import LazyChain, column_bound, restrict_rows
 from .miner_base import LuspRecord, LuspResult, RootSearch, first_visit
 from .occurrence import UtilityCounter, build_bit_index, is_subsequence
 from .preprocess import build_max_non_con_seq_set
@@ -96,8 +112,7 @@ class _ExtendMiner(RootSearch):
     def _mine_root(self, i: int) -> None:
         self._root = i
         root = self.roots[i]
-        chain = self.store.tagged(root)
-        self._descend(root, chain.full(), 0, chain.total)
+        self._descend(root, self.store.tagged(root), tuple(range(len(root))), 0)
 
     def _records(self):
         """Filter the admitted candidates against the cuts, release the
@@ -138,30 +153,34 @@ class _ExtendMiner(RootSearch):
                     return True
         return False
 
-    def _descend(self, s: Pattern, rows: TaggedRows, p: int, total) -> None:
-        """Search below cursor ``p`` of ``s`` in the regime its carried
-        ``rows``, which sum to ``total``, call for."""
+    def _descend(self, s: Pattern, chain: LazyChain, cols: tuple, p: int) -> None:
+        """Search below cursor ``p`` of ``s``, the root columns ``cols`` of
+        the root's ``chain``, in the regime its projected rows call for."""
+        util = chain.lone_row(cols)
+        if util is None:
+            if chain.exceeds_on(cols, self.threshold):
+                self._extension(s, chain, cols, p)
+            else:
+                self._admit_all(s, p)
+            return
+        total = sum(util)
         if total <= self.threshold:
             self._admit_all(s, p)
-        elif len(rows) == 1:
-            util = rows[0][2]
-            self._extension_row(s, util, p, total, sum(util[:p]))
         else:
-            self._extension(s, rows, p)
+            self._extension_row(s, util, p, total, sum(util[:p]))
 
-    def _extension(self, s: Pattern, rows: TaggedRows, p: int) -> None:
-        """Rows regime at cursor ``p`` for two or more carried rows, whose
+    def _extension(self, s: Pattern, chain: LazyChain, cols: tuple, p: int) -> None:
+        """Rows regime at cursor ``p`` for two or more projected rows, whose
         total is above the threshold."""
         if p + 1 < len(s):
             # Drop the cursor position for the whole subtree.
-            child = restrict_rows(rows, [*range(p), *range(p + 1, len(s))])
-            self._descend(s[:p] + s[p + 1 :], child, p, rows_total(child))
+            self._descend(s[:p] + s[p + 1 :], chain, cols[:p] + cols[p + 1 :], p)
         # Append it to the accumulated prefix.
-        if column_bound(rows, range(p + 1)) > self.threshold:
+        if chain.exceeds_on(cols[: p + 1], self.threshold):
             self._cut(s, p)
             return
         if p + 1 < len(s) and p + 1 < self.len_cap:
-            self._extension(s, rows, p + 1)
+            self._extension(s, chain, cols, p + 1)
         self._admitted.setdefault(s[: p + 1])
 
     def _extension_row(self, s: Pattern, util: tuple, p: int, total, head) -> None:

@@ -438,6 +438,84 @@ class TestLazyChain:
                     assert (chain.rows, chain.total) == (expected, rows_total(expected))
 
 
+def _groups(rows) -> list:
+    """The rows of each sequence, in order: what one pull of a chain adds."""
+    return [list(group) for _, group in groupby(rows, key=itemgetter(0))]
+
+
+def _deciding_pulls(groups, decided) -> int:
+    """How many sequences a scan must pull: up to the first one after which
+    ``decided(rows so far)`` holds, or all of them."""
+    for n in range(1, len(groups)):
+        if decided([row for group in groups[:n] for row in group]):
+            return n
+    return len(groups)
+
+
+class TestColumnViews:
+    def test_scans_equal_the_row_kernels_and_stop_once_decided(self):
+        # ``exceeds_on`` and ``lone_row`` read a chain's rows projected onto
+        # a column subset. They answer as the row kernels do on the full
+        # chain, from a chain pulled fully, partly or not at all, at
+        # thresholds at, just below and just above each holder's running
+        # sum, and pull no sequence past the one that decides the answer.
+        # Two or three items over long sequences make projections collapse;
+        # thirds make every utility a Fraction.
+        collapsed = partial = identity = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            db = generate_synthetic(4, rng.randint(2, 3), 4, 9, 4, 4, seed)
+            thirds = {i: Fraction(v, 3) for i, v in db.utilities.values.items()}
+            db = QSequenceDatabase(db.sequences, ExternalUtilityTable(thirds))
+            seq = rng.choice(db.sequences)
+            k = rng.randint(1, len(seq))
+            pattern = tuple(seq.items[j] for j in sorted(rng.sample(range(len(seq)), k)))
+            rows = _store(db).rows(pattern)
+            groups = _groups(rows)
+            for cols in {tuple(range(k))} | {
+                tuple(sorted(rng.sample(range(k), rng.randint(1, k)))) for _ in range(3)
+            }:
+                restricted = restrict_rows(rows, cols)
+                total = rows_total(restricted)
+                assert column_bound(rows, cols) == total
+                collapsed += len(restricted) < len(rows)
+                identity += len(cols) == k
+                lone = restricted[0][2] if len(restricted) == 1 else None
+                lone_pulls = _deciding_pulls(
+                    groups, lambda seen: len(restrict_rows(seen, cols)) > 1
+                )
+                running = [rows_total(restrict_rows(r, cols)) for r in groups]
+                sums = [sum(running[:n]) for n in range(len(groups) + 1)]
+                for t in {s + d for s in sums for d in (-Fraction(1, 6), 0, Fraction(1, 6))}:
+                    pulls = _deciding_pulls(
+                        groups, lambda seen: rows_total(restrict_rows(seen, cols)) > t
+                    )
+                    for before in {0, len(groups) // 2, len(groups)}:
+                        for question in ("exceeds_on", "lone_row"):
+                            chain = _store(db).tagged(pattern)
+                            for _ in range(before):
+                                chain._pull()
+                            if question == "exceeds_on":
+                                assert chain.exceeds_on(cols, t) == (total > t)
+                                needed = pulls
+                            else:
+                                assert chain.lone_row(cols) == lone
+                                needed = lone_pulls
+                            pulled = len(_groups(chain.rows))
+                            assert pulled == max(before, needed)
+                            partial += pulled < len(groups)
+                if lone is not None and len(cols) == k:
+                    # The identity projection hands back the row's own tuple.
+                    chain = _store(db).tagged(pattern)
+                    assert chain.lone_row(cols) is chain.rows[0][2]
+        assert collapsed > 0 and partial > 0 and identity > 0
+
+    def test_no_rows_have_no_lone_row_and_sum_to_zero(self):
+        assert _lazy(()).lone_row((0,)) is None
+        assert _lazy(()).exceeds_on((0,), -1) is True
+        assert _lazy(()).exceeds_on((0,), 0) is False
+
+
 def _reference_rows(db, pattern) -> tuple:
     """Every embedding of the pattern, from every position subset of every
     sequence, in sequence then lexicographic order."""

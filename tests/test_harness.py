@@ -231,6 +231,27 @@ class TestSweep:
             counts = [int(r["patterns"]) for r in rows if r["algo"] == algo]
             assert counts == sorted(counts)
 
+    def test_every_row_writes_the_resolved_threshold(self, monkeypatch):
+        # An ok row, a cap_exceeded row and an error row of one sigma sweep
+        # all write sigma times the database utility, not sigma itself.
+        db = generate_synthetic(6, 4, 2, 6, 3, 3, seed=7)
+
+        def capped(db, cfg, counter=None):
+            return mine_baseline(db, cfg, counter, cap=10)
+
+        def broken(*args):
+            raise RuntimeError("broken miner")
+
+        monkeypatch.setattr("luspm.harness.mine_baseline", capped)
+        monkeypatch.setattr("luspm.harness.mine_shrink", broken)
+        rows = parse_metrics_csv(run_sweep(SweepSpec(sigmas=(Fraction(1, 10),)), db))
+        assert [(r["algo"], r["status"]) for r in rows] == [
+            ("base", "cap_exceeded"),
+            ("shrink", "error:RuntimeError"),
+            ("extend", "ok"),
+        ]
+        assert [r["min_util"] for r in rows] == ["49/5"] * 3
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec()

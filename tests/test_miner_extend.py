@@ -190,8 +190,9 @@ class TestCounter:
 
 class TestAdmission:
     def _mine(self, monkeypatch, db, cfg, shadow=None):
-        """Mine, counting kernel calls and admission expansions, and keeping
-        the largest cursor an expansion or a prefix bound was taken at."""
+        """Mine, counting kernel calls, column-view scans of the roots'
+        chains and admission expansions, and keeping the largest cursor an
+        expansion or a rows-regime node was visited at."""
         count = Counter()
         first_visit = miner_extend.first_visit
 
@@ -206,15 +207,35 @@ class TestAdmission:
 
             def wrapper(*args):
                 count[name] += 1
-                if name == "column_bound":
-                    count["cursor"] = max(count["cursor"], len(args[1]) - 1)
                 return fn(*args)
+
+            return wrapper
+
+        def scan(name):
+            fn = getattr(chains.LazyChain, name)
+
+            def wrapper(chain, *args):
+                count[name] += 1
+                return fn(chain, *args)
+
+            return wrapper
+
+        def node(fn, at):
+            # ``at`` is the index of the cursor among the node's arguments.
+            def wrapper(miner, *args):
+                count["cursor"] = max(count["cursor"], args[at])
+                return fn(miner, *args)
 
             return wrapper
 
         with monkeypatch.context() as m:
             for name in ("restrict_rows", "column_bound"):
                 m.setattr(miner_extend, name, counted(name))
+            for name in ("exceeds_on", "lone_row"):
+                m.setattr(chains.LazyChain, name, scan(name))
+            for name, at in (("_extension", 3), ("_extension_row", 2)):
+                fn = getattr(miner_extend._ExtendMiner, name)
+                m.setattr(miner_extend._ExtendMiner, name, node(fn, at))
             m.setattr(miner_extend, "first_visit", counting_first_visit)
             result = mine_extend(db, cfg, shadow=shadow)
         return result, count
@@ -250,8 +271,9 @@ class TestAdmission:
         # Long prefixes of the root exceed 12 and are cut by the rows regime;
         # dropping positions brings subtrees within 12, which are admitted.
         # One sequence gives a one-row root, walked by prefix sums without a
-        # kernel call; two equal sequences give a two-row root, whose
-        # restrictions and bounds go through the kernels.
+        # prefix-bound scan; two equal sequences give a two-row root, whose
+        # totals and prefix bounds are read by scanning its chain's column
+        # views, never by the row kernels.
         n = 12
         one = _copies(n)
         seq = one.sequences[0]
@@ -260,10 +282,11 @@ class TestAdmission:
         for db in (one, two):
             shadow = CutRecordingShadow()
             result, count = self._mine(monkeypatch, db, cfg, shadow)
+            assert count["restrict_rows"] == count["column_bound"] == 0
             if db is one:
-                assert count["restrict_rows"] == count["column_bound"] == 0
+                assert count["exceeds_on"] == 0 and count["lone_row"] == 1
             else:
-                assert count["restrict_rows"] > 0 and count["column_bound"] > 0
+                assert count["exceeds_on"] > 0 and count["lone_row"] > 1
             assert count["expansions"] > 0
             assert shadow.cuts
             assert result.as_set() == mine_baseline(db, cfg).as_set()
@@ -279,8 +302,8 @@ class TestAdmission:
             cfg = MiningConfig(min_util=8, max_len=max_len)
             result, count = self._mine(monkeypatch, db, cfg)
             assert count["expansions"] < uncapped["expansions"]
-            assert count["restrict_rows"] < uncapped["restrict_rows"]
-            assert count["column_bound"] < uncapped["column_bound"]
+            assert count["exceeds_on"] < uncapped["exceeds_on"]
+            assert count["lone_row"] < uncapped["lone_row"]
             assert count["cursor"] < max_len
             assert result.as_set() == mine_baseline(db, cfg).as_set()
 
@@ -288,23 +311,23 @@ class TestAdmission:
         # The first 2 of (1, 2, 2, 3) is above the threshold, so the root is
         # (1, 2, 3), which embeds twice. Dropping its 2 at cursor 1 collapses
         # both rows onto one, (3, 3), and the one-row walk that takes over
-        # must start from the prefix sum 3: it cuts (1, 3) at 6.
+        # must start from the prefix sum 3: it cuts (1, 3) at 6. No other
+        # node of this search has one row above the threshold.
         elements = tuple(QItem(i, q) for i, q in ((1, 3), (2, 5), (2, 1), (3, 3)))
         db = QSequenceDatabase(
             (QSequence(0, elements),), ExternalUtilityTable.uniform((1, 2, 3))
         )
-        handoffs = []
-        descend = miner_extend._ExtendMiner._descend
+        walks = []
+        extension_row = miner_extend._ExtendMiner._extension_row
 
-        def recording_descend(miner, s, rows, p, total):
-            if len(rows) == 1 and p > 0 and total > miner.threshold:
-                handoffs.append((s, p))
-            return descend(miner, s, rows, p, total)
+        def recording_extension_row(miner, s, util, p, total, head):
+            walks.append((s, util, p, total, head))
+            return extension_row(miner, s, util, p, total, head)
 
         with monkeypatch.context() as m:
-            m.setattr(miner_extend._ExtendMiner, "_descend", recording_descend)
+            m.setattr(miner_extend._ExtendMiner, "_extension_row", recording_extension_row)
             self.test_cuts_and_evaluations_equal_a_plain_walk(monkeypatch, db, 4, None)
-        assert handoffs == [((1, 3), 1)]
+        assert walks == [((1, 3), (3, 3), 1, 6, 3)]
 
     @pytest.mark.parametrize(
         "db, min_util, max_len",
@@ -342,6 +365,23 @@ class TestAdmission:
             )
         ]
         assert result.as_set() == mine_baseline(db, cfg).as_set()
+
+
+class TestLaziness:
+    @pytest.mark.parametrize("seed, min_util", [(11, 5), (22, 2)])
+    def test_roots_are_pulled_only_as_far_as_their_questions_need(self, seed, min_util):
+        # At thresholds of 2-5 one embedding's utility mostly exceeds the
+        # threshold, so a node's total, its row count and its prefix bounds
+        # are decided by the first rows of its root's chain: the search pulls
+        # under a quarter of its roots' rows (about 1/7 and 1/12 here).
+        db = generate_synthetic(200, 8, 18, 22, 5, 5, seed=seed)
+        cfg = MiningConfig(min_util=min_util)
+        miner = miner_extend._ExtendMiner(db, cfg, None, None)
+        result = miner.run()
+        store = ChainStore(db, build_bit_index(db))
+        root_rows = sum(len(store.rows(root)) for root in miner.roots)
+        assert 0 < miner.store.rows_pulled <= root_rows / 4
+        assert result.as_set() == mine_shrink(db, cfg).as_set()
 
 
 def _distinct_items(n):
