@@ -8,15 +8,14 @@ is created, however far it is later pulled.
 
 A chain is lazy: it holds the rows pulled so far, their total, and a source
 of further rows. A pattern's own chain pulls from the database scan, one
-holder sequence at a time (every embedding the sequence has); a restriction
-pulls from its parent chain, one parent sequence at a time, pulling the
-parent further when it runs out. So every chain's rows are whole sequences'
-rows, grouped by sequence, in the order a full build gives them.
+holder sequence at a time (every embedding the sequence has). So its rows
+are whole sequences' rows, grouped by sequence, in the order a full build
+gives them.
 
-Rows are read only for the questions that need them: whether a chain's total
-exceeds the threshold, whether its rows projected onto a subset of its
-columns sum above the threshold or keep exactly one distinct row, the
-frozen-prefix marking, restriction, and full rows. A pattern's exact utility
+Rows are read only for the questions that need them: whether a chain's rows
+projected onto a subset of its columns sum above the threshold or keep
+exactly one distinct row, the frozen-prefix marking on such a projection,
+and full rows. A pattern's exact utility
 and support (``ChainStore.evaluate``) need no rows: they are summed over the
 same holder sequences by an embedding-count DP, which stops once the utility
 exceeds the threshold. Its column sums
@@ -26,25 +25,27 @@ drained, or whose pulled rows already exceed the threshold, answers from its
 rows instead.
 
 Every decision a miner takes on a chain compares a deduplicated sum with the
-threshold: the chain total, a restricted total, a frozen-prefix bound. Such a
-sum only grows as rows are added, because utilities are positive and a
-pulled row is never taken back. A query therefore pulls until its sum exceeds
+threshold: a projected total or a frozen-prefix bound. Such a sum only
+grows as rows are added, because utilities are positive and a pulled row is
+never taken back. A query therefore pulls until its sum exceeds
 the threshold or the source runs out, and reads the same answer the full
 chain gives: exceeding on a prefix of the rows means exceeding on all of
 them, and a source that ran out leaves the full sum. The answers do not
 depend on how far earlier queries pulled, so the decisions, the evaluations
 and their order are those of fully built chains. Nothing is frozen: a
-restriction made after its parent exceeded still pulls the parent to its end
-if it needs to.
+question asked after an earlier one exceeded still pulls the chain to its
+end if it needs to.
 
-Inherited chains (a super-pattern's chain restricted to a subset of its
-columns) carry each row's originating sequence id and matched positions.
-Distinct embeddings of the super-pattern can collapse onto the same embedding
-of the restricted pattern; summing such duplicate rows would overstate the
-lower bound, so every restriction deduplicates on (sid, restricted positions).
-Only then is the restricted sum a true lower bound on the pattern's utility.
-Rows of different sequences never collide, so a lazy restriction deduplicates
-within each sequence's rows, and a sequence's lone row needs no check.
+A sub-pattern inherits a super-pattern's chain as a column view: the chain
+and the columns the sub-pattern keeps. Rows carry each embedding's sequence
+id and matched positions. Distinct embeddings of the super-pattern can
+collapse onto one embedding of the sub-pattern; summing such duplicates
+would overstate the lower bound, so every question deduplicates the
+projected rows on (sid, projected positions). A row's utilities depend only
+on its sid and positions, so a view of a view is the view on the composed
+columns, with the rows nested ``restrict_rows`` calls give. Rows of
+different sequences never collide, so each sequence's rows are deduplicated
+on their own, and a sequence's lone row needs no check.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ class LazyChain:
 
     ``rows`` is a list while the source lasts and becomes a tuple once it
     runs out. The source appends one sequence's rows per step and yields
-    their sum. A drained chain (no source) of one row answers ``marked`` and
-    ``restrict`` from that row's utility tuple: one row cannot collapse.
+    their sum. A drained chain (no source) of one row answers ``exceeds_on``
+    and ``marked`` from that row's utility tuple: one row cannot collapse.
     """
 
     __slots__ = ("rows", "total", "_source")
@@ -147,14 +148,6 @@ class LazyChain:
             self.rows = tuple(self.rows)
         return self.rows
 
-    def exceeds(self, threshold) -> bool:
-        """Whether the chain total exceeds ``threshold``: the pattern's
-        utility on its own chain, the lower bound on a restriction."""
-        while self.total <= threshold:
-            if not self._pull():
-                return False
-        return True
-
     def exceeds_on(self, cols: Sequence[int], threshold) -> bool:
         """Whether this chain's rows projected onto ``cols``, deduplicated on
         (sid, projected positions), sum above ``threshold``: the total of
@@ -163,8 +156,10 @@ class LazyChain:
         Rows are read in order, pulling further holders only while the sum
         is within the threshold. A sequence's first row cannot collide with
         an earlier sequence's, so each sequence's rows are deduplicated on
-        their own.
+        their own. A drained chain of one row answers from its utility tuple.
         """
+        if self._source is None and len(self.rows) == 1:
+            return sum(map(self.rows[0][2].__getitem__, cols)) > threshold
         take = _columns(cols)
         total = 0
         last = seen = None
@@ -211,19 +206,38 @@ class LazyChain:
             k += 1
         return take(util)
 
-    def marked(self, p: int, width: int, threshold) -> list[int]:
-        """The columns ``i`` in ``p .. width - 1`` whose frozen-prefix bound,
-        the deduplicated sum over columns ``0 .. p - 1`` and ``i``, exceeds
-        ``threshold``, ascending.
+    def view(self, cols: tuple) -> tuple[LazyChain, tuple]:
+        """The view ``(self, cols)``, or, once this chain is drained and its
+        rows projected onto ``cols`` are one distinct row, a drained chain of
+        that row alone with identity columns, which the view's questions and
+        its sub-views' read as one utility tuple. A chain still pulling is
+        kept, as ``lone_row`` would pull it further."""
+        if self._source is not None or len(self.rows) == 1:
+            return self, cols
+        util = self.lone_row(cols)
+        if util is None:
+            return self, cols
+        sid, pos, _ = self.rows[0]
+        row = (sid, _columns(cols)(pos), util)
+        return LazyChain((row,), None, sum(util)), tuple(range(len(cols)))
+
+    def marked(self, cols: Sequence[int], p: int, threshold) -> list[int]:
+        """The indices ``i`` in ``p .. len(cols) - 1`` whose frozen-prefix
+        bound, the deduplicated sum of this chain's rows projected onto
+        ``cols[:p]`` and ``cols[i]``, exceeds ``threshold``, ascending.
 
         Rows are read until every column exceeds or the source runs out; a
         column stops being summed once it exceeds. Each sequence's rows are
         deduplicated on their own, and a lone row skips the check.
         """
+        width = len(cols)
         if self._source is None and len(self.rows) == 1:
             util = self.rows[0][2]
+            if width < len(util):
+                util = _columns(cols)(util)
             head = sum(util[:p])
             return [i for i in range(p, width) if head + util[i] > threshold]
+        head_of = _columns(cols[:p])
         bounds = [0] * width
         live = list(range(p, width))
         k = 0
@@ -233,61 +247,25 @@ class LazyChain:
             k += 1
             n = len(rows)
             if k == n or rows[k][0] != sid:
-                head = sum(util[:p])
+                head = sum(head_of(util))
                 for i in live:
-                    bounds[i] += head + util[i]
+                    bounds[i] += head + util[cols[i]]
             else:
                 seen: set[tuple] = set()
                 k -= 1
                 while k < n and rows[k][0] == sid:
                     _, pos, util = rows[k]
                     k += 1
-                    head_pos = pos[:p]
-                    head = sum(util[:p])
+                    head_pos = head_of(pos)
+                    head = sum(head_of(util))
                     for i in live:
-                        key = (head_pos, i, pos[i])
+                        c = cols[i]
+                        key = (head_pos, i, pos[c])
                         if key not in seen:
                             seen.add(key)
-                            bounds[i] += head + util[i]
+                            bounds[i] += head + util[c]
             live = [i for i in live if bounds[i] <= threshold]
         return [i for i in range(p, width) if bounds[i] > threshold]
-
-    def restrict(self, keep: Sequence[int]) -> LazyChain:
-        """The chain of the pattern formed by the ``keep`` columns, pulled
-        lazily from this one."""
-        take = _columns(keep)
-        if self._source is None and len(self.rows) == 1:
-            ((sid, pos, util),) = self.rows
-            util = take(util)
-            return LazyChain(((sid, take(pos), util),), None, sum(util))
-        rows: list[TaggedRow] = []
-        return LazyChain(rows, self._restricted(take, rows))
-
-    def _restricted(self, take, out: list) -> Iterator:
-        """Append to ``out`` the restriction of each sequence's rows of this
-        chain, pulling them as needed, and yield each one's sum."""
-        k = 0
-        while k < len(self.rows) or self._pull():
-            rows = self.rows
-            sid, pos, util = rows[k]
-            k += 1
-            key = take(pos)
-            util = take(util)
-            out.append((sid, key, util))
-            total = sum(util)
-            n = len(rows)
-            if k < n and rows[k][0] == sid:
-                seen = {key}
-                while k < n and rows[k][0] == sid:
-                    _, pos, util = rows[k]
-                    k += 1
-                    key = take(pos)
-                    if key not in seen:
-                        seen.add(key)
-                        util = take(util)
-                        out.append((sid, key, util))
-                        total += sum(util)
-            yield total
 
 
 def _append_rows(out: list, sid: int, embeddings: list, utils: tuple):
@@ -433,9 +411,9 @@ class ChainStore:
 
     A pattern's own chain pulls its rows from a ``_HolderScan``, the
     package's one scan of the database for a pattern's embeddings; every row
-    question (``LazyChain.exceeds``, ``exceeds_on``, ``lone_row``,
-    ``marked``, ``restrict``, ``full`` and ``rows``) is read from those rows. ``rows_pulled`` counts the rows the
-    scans have produced.
+    question (``LazyChain.exceeds_on``, ``lone_row``, ``view``, ``marked``,
+    ``full`` and ``rows``) is read from those rows. ``rows_pulled`` counts
+    the rows the scans have produced.
 
     ``evaluate`` builds no rows for a chain it has not drained: it sums each
     holder sequence's embeddings by a count DP over the same holders, and

@@ -3,7 +3,7 @@
 Two regimes per the search-tree design: below a pattern whose true utility is
 within the threshold, every child is evaluated directly (``_shrinkage``);
 below one whose utility exceeds it, the ancestor's chain is carried down and
-children are first screened by its restricted sum (the lower bound LBS) so
+children are first screened by its projected sum (the lower bound LBS) so
 most true-utility evaluations are skipped, and positions whose frozen-prefix
 lower bound exceeds the threshold are removed wholesale (``_prune_item``).
 Roots, removal products and screened children all enter through
@@ -11,13 +11,17 @@ Roots, removal products and screened children all enter through
 
 Every decision is a threshold question: ``ChainStore.evaluate`` answers a
 pattern's exact (utility, support), summed without rows, or ``None`` once
-its utility exceeds the threshold; a carried lazy chain
-(``chains.LazyChain``) answers whether its restricted total exceeds it
-(``exceeds``) and which positions' frozen-prefix bounds do (``marked``); and
-children are lazy restrictions of it. Each question reads only until it is
-decided, and its answer is the full chain's, so the search takes the same
-path, evaluates the same patterns in the same order and reports the same
-skips and prunes as on fully built chains.
+its utility exceeds the threshold. A depth-regime node holds the
+ancestor's lazy chain (``chains.LazyChain``) and ``cols``, the ancestor
+columns its pattern keeps, as extension does with its root's chain: a child
+drops one column, a prune the marked ones. The chain answers whether the
+rows projected onto ``cols`` total above the threshold (``exceeds_on``) and
+which positions' frozen-prefix bounds do (``marked``), and a node whose
+projection of a drained chain is one row carries that row alone
+(``LazyChain.view``). Each question reads only until it is decided, and
+its answer is the full chain's, so the search takes the same path,
+evaluates the same patterns in the same order and reports the same skips
+and prunes as on fully built chains.
 
 Each (pattern, position) node is expanded once per run, by whichever regime
 reaches it first; the same node is reached again from other roots and other
@@ -74,7 +78,7 @@ class _ShrinkMiner(RootSearch):
             if p < len(q):
                 self._shrinkage(q, p)
         elif p < len(q):
-            self._shrinkage_depth(q, self.store.tagged(q), p)
+            self._shrinkage_depth(q, self.store.tagged(q), tuple(range(len(q))), p)
 
     def _shrinkage(self, s: Pattern, p: int) -> None:
         """Exact regime at cursor ``p < len(s)``: keep position ``p``, then
@@ -86,53 +90,57 @@ class _ShrinkMiner(RootSearch):
         if len(s) > 1:
             self._enter(s[:p] + s[p + 1 :], p)
 
-    def _shrinkage_depth(self, s: Pattern, chain: LazyChain, p: int) -> None:
+    def _shrinkage_depth(
+        self, s: Pattern, chain: LazyChain, cols: tuple, p: int
+    ) -> None:
         """Depth regime at cursor ``p < len(s)``; ``chain`` is the chain of
-        an ancestor whose utility exceeds the threshold, restricted to ``s``."""
+        an ancestor whose utility exceeds the threshold, and ``cols`` the
+        ancestor columns that ``s`` keeps."""
         if not first_visit(self._expanded, s, p):
             return
-        s, chain, pruned = self._prune_item(s, chain, p)
-        if pruned and s and self._screen(s, chain):
+        chain, cols = chain.view(cols)
+        s, cols, pruned = self._prune_item(s, chain, cols, p)
+        if pruned and s and self._screen(s, chain, cols):
             # The survivor is itself a removal product (its marked positions
             # were deleted en masse), so it gets the same lower-bound-gated
             # evaluation a remove branch would apply; entered at its end, it
             # is not searched below, as the recursion here covers its subsets.
             self._enter(s, len(s))
         if p + 1 < len(s) and p < self.len_cap:
-            self._shrinkage_depth(s, chain, p + 1)
+            self._shrinkage_depth(s, chain, cols, p + 1)
         if p >= len(s) or len(s) == 1:
             return
         q = s[:p] + s[p + 1 :]
-        child = chain.restrict([*range(p), *range(p + 1, len(s))])
-        if self._screen(q, child):
+        child = cols[:p] + cols[p + 1 :]
+        if self._screen(q, chain, child):
             self._enter(q, p)
         elif p < len(q):
-            self._shrinkage_depth(q, child, p)
+            self._shrinkage_depth(q, chain, child, p)
 
-    def _screen(self, q: Pattern, chain: LazyChain) -> bool:
+    def _screen(self, q: Pattern, chain: LazyChain, cols: tuple) -> bool:
         """Whether ``q`` is within the length cap and its lower bound, the
-        total of ``chain``, within the threshold; a bound above it skips
-        ``q``'s evaluation."""
+        sum of ``chain``'s rows projected onto ``cols``, within the
+        threshold; a bound above it skips ``q``'s evaluation."""
         if len(q) > self.len_cap:
             return False
-        if chain.exceeds(self.threshold):
+        if chain.exceeds_on(cols, self.threshold):
             if self.shadow is not None:
                 self.shadow.sluspb_skip(q)
             return False
         return True
 
     def _prune_item(
-        self, s: Pattern, chain: LazyChain, p: int
-    ) -> tuple[Pattern, LazyChain, bool]:
-        marked = chain.marked(p, len(s), self.threshold)
+        self, s: Pattern, chain: LazyChain, cols: tuple, p: int
+    ) -> tuple[Pattern, tuple, bool]:
+        marked = chain.marked(cols, p, self.threshold)
         if not marked:
-            return s, chain, False
+            return s, cols, False
         if self.shadow is not None:
             for i in marked:
                 self.shadow.sbips_prune(s, p, i)
         drop = set(marked)
         keep = [j for j in range(len(s)) if j not in drop]
-        return tuple(s[j] for j in keep), chain.restrict(keep), True
+        return tuple(s[j] for j in keep), tuple(cols[j] for j in keep), True
 
 
 def mine_shrink(

@@ -231,7 +231,7 @@ class TestTotalsScan:
                 for t in (total, inf):
                     store = ChainStore(db, build_bit_index(db), threshold=t)
                     chain = store.tagged(p)
-                    chain.exceeds(rows_total(rows[:pull]) - 1)
+                    chain.exceeds_on(range(len(p)), rows_total(rows[:pull]) - 1)
                     pulled = len(chain.rows)
                     assert store.evaluate(p) == (total, len(rows))
                     assert store.rows_pulled == pulled
@@ -298,7 +298,7 @@ class TestTotalsScan:
         drained = ChainStore(db, build_bit_index(db), threshold=total)
         drained.rows(pattern)
         first = ChainStore(db, build_bit_index(db), threshold=0)
-        assert first.tagged(pattern).exceeds(0)
+        assert first.tagged(pattern).exceeds_on(range(len(pattern)), 0)
         monkeypatch.setattr(chains, "enumerate_embeddings", None)
         monkeypatch.setattr(chains, "greedy_matches", None)
         assert drained.evaluate(pattern) == (total, len(rows))
@@ -327,9 +327,11 @@ def _thresholds(values) -> list:
 class TestPrefixBounds:
     def test_equals_column_bound_for_every_prefix(self):
         # Two or three items over long sequences give many embeddings per
-        # pattern, so rows collapse onto shared (prefix, position) keys;
-        # thirds make every utility a Fraction. Each marking is read from a
-        # fresh store, so it pulls the chain only as far as it needs.
+        # pattern, so rows collapse onto shared (prefix, position) keys, the
+        # more so on a column subset; thirds make every utility a Fraction.
+        # Each marking is read from a fresh chain, pulled partly or not at
+        # all beforehand, and pulls no sequence past the one after which
+        # every column's bound exceeds the threshold.
         collapsed = partial = 0
         for seed in range(40):
             rng = random.Random(seed)
@@ -338,30 +340,47 @@ class TestPrefixBounds:
             db = QSequenceDatabase(db.sequences, ExternalUtilityTable(thirds))
             seq = rng.choice(db.sequences)
             k = rng.randint(2, min(5, len(seq)))
-            cols = sorted(rng.sample(range(len(seq)), k))
-            pattern = tuple(seq.items[j] for j in cols)
+            pattern = tuple(seq.items[j] for j in sorted(rng.sample(range(len(seq)), k)))
             rows = _store(db).rows(pattern)
-            for p in range(k):
-                bounds = {
-                    i: column_bound(rows, [*range(p), i]) for i in range(p, k)
-                }
-                for t in _thresholds([0, *bounds.values()]):
-                    chain = _store(db).tagged(pattern)
-                    marked = chain.marked(p, k, t)
-                    assert marked == [i for i in range(p, k) if bounds[i] > t]
-                    partial += len(chain.rows) < len(rows)
-                for i in range(p, k):
-                    collapsed += len(restrict_rows(rows, [*range(p), i])) < len(rows)
+            groups = _groups(rows)
+            for cols in {tuple(range(k))} | {
+                tuple(sorted(rng.sample(range(k), rng.randint(1, k)))) for _ in range(2)
+            }:
+                width = len(cols)
+                for p in range(width):
+
+                    def bound(seen, i):
+                        return column_bound(seen, [*cols[:p], cols[i]])
+
+                    bounds = {i: bound(rows, i) for i in range(p, width)}
+                    for t in _thresholds([0, *bounds.values()]):
+                        needed = _deciding_pulls(
+                            groups, lambda seen: all(bound(seen, i) > t for i in bounds)
+                        )
+                        for before in {0, len(groups) // 2}:
+                            chain = _store(db).tagged(pattern)
+                            for _ in range(before):
+                                chain._pull()
+                            marked = chain.marked(cols, p, t)
+                            assert marked == [i for i in bounds if bounds[i] > t]
+                            pulled = len(_groups(chain.rows))
+                            assert pulled == max(before, needed)
+                            partial += pulled < len(groups)
+                    for i in range(p, width):
+                        kept = [*cols[:p], cols[i]]
+                        collapsed += width < k and len(restrict_rows(rows, kept)) < len(rows)
         assert collapsed > 0 and partial > 0
 
     def test_no_rows_bound_to_zero(self):
-        assert _lazy(()).marked(1, 4, -1) == [1, 2, 3]
-        assert _lazy(()).marked(1, 4, 0) == []
+        assert _lazy(()).marked((0, 1, 2, 3), 1, -1) == [1, 2, 3]
+        assert _lazy(()).marked((0, 1, 2, 3), 1, 0) == []
+        assert _lazy(()).marked((1, 4), 0, -1) == [0, 1]
 
     def test_one_row_equals_column_bound_for_every_prefix(self):
         # One row takes the lone-row path: each bound is a prefix sum plus
-        # one entry, in int and in Fraction utilities alike. A drained chain
-        # reads it from the row's utility tuple alone.
+        # one entry of the projected row, in int and in Fraction utilities
+        # alike, on every column subset. A drained chain reads it from the
+        # row's utility tuple alone.
         rng = random.Random(1)
         for width in range(1, 7):
             pos = tuple(sorted(rng.sample(range(12), width)))
@@ -370,23 +389,29 @@ class TestPrefixBounds:
                 tuple(Fraction(rng.randint(1, 9), 3) for _ in pos),
             ):
                 rows = ((3, pos, util),)
-                for p in range(width):
-                    bounds = [
-                        column_bound(rows, [*range(p), i]) for i in range(p, width)
-                    ]
-                    for t in _thresholds(bounds):
-                        expected = [i for i, b in enumerate(bounds, p) if b > t]
-                        assert _lazy(rows).marked(p, width, t) == expected
-                        drained = LazyChain(rows, None, rows_total(rows))
-                        assert drained.marked(p, width, t) == expected
+                for cols in {tuple(range(width))} | {
+                    tuple(sorted(rng.sample(range(width), rng.randint(1, width))))
+                    for _ in range(3)
+                }:
+                    for p in range(len(cols)):
+                        bounds = [
+                            column_bound(rows, [*cols[:p], cols[i]])
+                            for i in range(p, len(cols))
+                        ]
+                        for t in _thresholds(bounds):
+                            expected = [i for i, b in enumerate(bounds, p) if b > t]
+                            assert _lazy(rows).marked(cols, p, t) == expected
+                            drained = LazyChain(rows, None, rows_total(rows))
+                            assert drained.marked(cols, p, t) == expected
 
 
 class TestLazyChain:
-    def test_restrictions_equal_the_row_kernels(self):
-        # Nested lazy restrictions hold exactly the rows ``restrict_rows``
-        # gives, and answer ``exceeds`` as the full restricted total does,
-        # pulling their parents only as far as each answer needs. Two or
-        # three items over long sequences make restricted rows collapse.
+    def test_composed_views_equal_nested_restrictions(self):
+        # A view of a view is the view on the composed columns: its rows are
+        # those of ``restrict_rows`` applied twice, and ``exceeds_on`` on
+        # either view answers as the restricted total does, pulling no
+        # sequence past the one that decides it. Two or three items over
+        # long sequences make projected rows collapse.
         collapsed = partial = 0
         for seed in range(60):
             rng = random.Random(seed)
@@ -395,47 +420,77 @@ class TestLazyChain:
             k = rng.randint(2, len(seq))
             pattern = tuple(seq.items[j] for j in sorted(rng.sample(range(len(seq)), k)))
             rows = _store(db).rows(pattern)
-            outer = sorted(rng.sample(range(k), rng.randint(1, k)))
+            groups = _groups(rows)
+            outer = tuple(sorted(rng.sample(range(k), rng.randint(1, k))))
             inner = sorted(rng.sample(range(len(outer)), rng.randint(1, len(outer))))
+            composed = tuple(outer[j] for j in inner)
             once = restrict_rows(rows, outer)
             twice = restrict_rows(once, inner)
-            collapsed += len(twice) < len(rows)
-            for t in _thresholds([0, rows_total(once), rows_total(twice)]):
-                store = _store(db)
-                chain = store.tagged(pattern)
-                a = chain.restrict(outer)
-                b = a.restrict(inner)
-                assert b.exceeds(t) == (rows_total(twice) > t)
-                assert a.exceeds(t) == (rows_total(once) > t)
-                partial += len(chain.rows) < len(rows)
-                assert store.rows_pulled <= len(rows)
-                assert (b.full(), a.full(), chain.full()) == (twice, once, rows)
-                assert store.rows_pulled == len(rows)
-                assert (b.total, a.total) == (rows_total(twice), rows_total(once))
+            assert restrict_rows(rows, composed) == twice
+            collapsed += len(twice) < len(once) < len(rows)
+            for cols, restricted in ((outer, once), (composed, twice)):
+                total = rows_total(restricted)
+                for t in _thresholds([0, total]):
+                    needed = _deciding_pulls(
+                        groups, lambda seen: rows_total(restrict_rows(seen, cols)) > t
+                    )
+                    store = _store(db)
+                    chain = store.tagged(pattern)
+                    assert chain.exceeds_on(cols, t) == (total > t)
+                    assert len(_groups(chain.rows)) == needed
+                    partial += needed < len(groups)
         assert collapsed > 0 and partial > 0
 
-
-    def test_drained_one_row_restricts_without_a_source(self):
-        # A drained one-row chain restricts to a drained one-row chain with
-        # its total, equal to the row kernels' restriction, in int and in
-        # Fraction utilities alike; so do its restrictions in turn.
-        rng = random.Random(2)
-        for width in range(1, 7):
-            pos = tuple(sorted(rng.sample(range(12), width)))
-            for util in (
-                tuple(rng.randint(1, 9) for _ in pos),
-                tuple(Fraction(rng.randint(1, 9), 3) for _ in pos),
-            ):
-                rows = ((5, pos, util),)
-                chain = _lazy(rows)
-                chain.full()
-                while chain.rows[0][1]:
-                    n = len(chain.rows[0][1])
-                    keep = sorted(rng.sample(range(n), rng.randint(0, n - 1)))
-                    expected = restrict_rows(chain.rows, keep)
-                    chain = chain.restrict(keep)
-                    assert chain._source is None
-                    assert (chain.rows, chain.total) == (expected, rows_total(expected))
+    def test_a_drained_view_of_one_row_switches_to_that_row(self):
+        # Once a chain of several rows is drained, a view whose projection
+        # keeps one distinct row becomes a drained chain of that row with
+        # identity columns, equal to the row kernels' restriction, in int and
+        # in Fraction utilities alike. Its own views answer ``exceeds_on``
+        # and ``marked`` as the row kernels do on the composed columns. Any
+        # other view is handed back as it is, and a chain still pulling is
+        # not pulled.
+        switched = kept = fractions = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            db = generate_synthetic(rng.randint(1, 2), rng.randint(2, 3), 3, 8, 4, 4, seed)
+            if seed % 2:
+                thirds = {i: Fraction(v, 3) for i, v in db.utilities.values.items()}
+                db = QSequenceDatabase(db.sequences, ExternalUtilityTable(thirds))
+            seq = rng.choice(db.sequences)
+            k = rng.randint(2, len(seq))
+            pattern = tuple(seq.items[j] for j in sorted(rng.sample(range(len(seq)), k)))
+            for cols in {
+                tuple(sorted(rng.sample(range(k), rng.randint(1, k)))) for _ in range(4)
+            }:
+                pulling = _store(db).tagged(pattern)
+                view, view_cols = pulling.view(cols)
+                assert view is pulling and view_cols is cols and not pulling.rows
+                chain = _store(db).tagged(pattern)
+                rows = chain.full()
+                restricted = restrict_rows(rows, cols)
+                view, view_cols = chain.view(cols)
+                if len(rows) == 1 or len(restricted) > 1:
+                    assert view is chain and view_cols is cols
+                    kept += 1
+                    continue
+                switched += 1
+                fractions += isinstance(rows_total(rows), Fraction)
+                assert view._source is None and view_cols == tuple(range(len(cols)))
+                assert (view.rows, view.total) == (restricted, rows_total(restricted))
+                inner = tuple(sorted(rng.sample(view_cols, rng.randint(1, len(cols)))))
+                composed = [cols[j] for j in inner]
+                total = column_bound(rows, composed)
+                for t in _thresholds([total]):
+                    assert view.exceeds_on(inner, t) == (total > t)
+                for p in range(len(inner)):
+                    bounds = [
+                        column_bound(rows, [*composed[:p], composed[i]])
+                        for i in range(p, len(inner))
+                    ]
+                    for t in _thresholds(bounds):
+                        expected = [i for i, b in enumerate(bounds, p) if b > t]
+                        assert view.marked(inner, p, t) == expected
+        assert switched > 0 and kept > 0 and fractions > 0
 
 
 def _groups(rows) -> list:

@@ -8,7 +8,9 @@ import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,9 +31,12 @@ from luspm import (
     mine_extend,
     mine_shrink,
 )
-from luspm.chains import LazyChain
+from luspm.chains import column_bound, restrict_rows, rows_total
+from luspm.miner_base import LuspRecord, LuspResult, first_visit
 from luspm.miner_extend import _ExtendMiner
 from luspm.miner_shrink import _ShrinkMiner
+from luspm.preprocess import build_max_non_con_seq_set
+from luspm.seqdb import comparison_threshold, resolve_min_util
 
 from conftest import random_database
 
@@ -258,8 +263,8 @@ class _EventLog(MiningShadow):
 def _observed(miner, db, cfg, monkeypatch, eager=False):
     """A run's result set, utility computations, patterns passed to
     ``ChainStore.evaluate`` in order, pruning events in order and rows
-    pulled. With ``eager``, every chain and restriction is pulled in full
-    when it is created."""
+    pulled. With ``eager``, every chain is pulled in full when it is
+    created."""
     evaluated = []
     stores = {}
     evaluate = ChainStore.evaluate
@@ -272,25 +277,91 @@ def _observed(miner, db, cfg, monkeypatch, eager=False):
     with monkeypatch.context() as m:
         m.setattr(ChainStore, "evaluate", recording_evaluate)
         if eager:
-            tagged, restrict = ChainStore.tagged, LazyChain.restrict
+            tagged = ChainStore.tagged
 
             def full_tagged(store, pattern):
                 chain = tagged(store, pattern)
                 chain.full()
                 return chain
 
-            def full_restrict(chain, keep):
-                child = restrict(chain, keep)
-                child.full()
-                return child
-
             m.setattr(ChainStore, "tagged", full_tagged)
-            m.setattr(LazyChain, "restrict", full_restrict)
         counter = UtilityCounter()
         log = _EventLog()
         result = miner(db, cfg, counter, log)
     pulled = sum(store.rows_pulled for store in stores.values())
     return (result.as_set(), counter.count, evaluated, log.events), pulled
+
+
+def _reference_shrinkage(db, cfg):
+    """Shrinkage search whose depth regime holds materialized rows, with the
+    miner's ``_enter`` and ``first_visit`` structure and no laziness: a
+    depth-regime node holds its ancestor's full chain restricted to its own
+    columns by ``restrict_rows``, and its bounds are ``rows_total`` and
+    ``column_bound`` sums of those rows. The result set, the utility
+    computations, the patterns evaluated in order and the skip and prune
+    events in order, as ``_observed`` gives them."""
+    min_util = resolve_min_util(cfg, db)
+    threshold = comparison_threshold(min_util, db)
+    cap = inf if cfg.max_len is None else cfg.max_len
+    counter = UtilityCounter()
+    store = ChainStore(db, build_bit_index(db), counter, threshold=threshold)
+    expanded, admitted, evaluated, events = {}, {}, [], []
+
+    def enter(q, p):
+        evaluated.append(q)
+        totals = store.evaluate(q)
+        if totals is not None:
+            if len(q) <= cap:
+                admitted.setdefault(q, totals)
+            if p < len(q):
+                exact(q, p)
+        elif p < len(q):
+            depth(q, store.rows(q), p)
+
+    def exact(s, p):
+        if not first_visit(expanded, s, p):
+            return
+        if p + 1 < len(s) and p < cap:
+            exact(s, p + 1)
+        if len(s) > 1:
+            enter(s[:p] + s[p + 1 :], p)
+
+    def screen(q, rows):
+        if len(q) > cap:
+            return False
+        if rows_total(rows) > threshold:
+            events.append(("skip", q))
+            return False
+        return True
+
+    def depth(s, rows, p):
+        if not first_visit(expanded, s, p):
+            return
+        marked = [
+            i for i in range(p, len(s)) if column_bound(rows, [*range(p), i]) > threshold
+        ]
+        if marked:
+            events.extend(("prune", s, p, i) for i in marked)
+            keep = [j for j in range(len(s)) if j not in marked]
+            s, rows = tuple(s[j] for j in keep), restrict_rows(rows, keep)
+            if s and screen(s, rows):
+                enter(s, len(s))
+        if p + 1 < len(s) and p < cap:
+            depth(s, rows, p + 1)
+        if p >= len(s) or len(s) == 1:
+            return
+        q = s[:p] + s[p + 1 :]
+        child = restrict_rows(rows, [*range(p), *range(p + 1, len(s))])
+        if screen(q, child):
+            enter(q, p)
+        elif p < len(q):
+            depth(q, child, p)
+
+    for root in build_max_non_con_seq_set(store, threshold).roots:
+        enter(root, 0)
+    records = [LuspRecord(q, u, s) for q, (u, s) in admitted.items()]
+    result = LuspResult.from_records(records, min_util, cfg.max_len)
+    return result.as_set(), counter.count, evaluated, events
 
 
 class TestLaziness:
@@ -325,6 +396,30 @@ class TestLaziness:
                 lazy_rows += pulled
                 eager_rows += everything
         assert lazy_rows < eager_rows
+
+    @pytest.mark.parametrize(
+        "db, cfg",
+        [
+            (random_database(seed, max_seqs=10), MiningConfig(
+                min_util=random.Random(seed).randint(1, 60),
+                max_len=(None, 1, 2, 3)[seed % 4],
+            ))
+            for seed in range(60)
+        ]
+        + [
+            (_repeated_db([[(1, 1 + k % 3) for k in range(n)]], [1]), MiningConfig(min_util=u))
+            for n in (8, 11)
+            for u in (5, 12, 30, 10**9)
+        ]
+        + [(generate_synthetic(40, 12, 6, 10, 5, 5, 3), MiningConfig(sigma=Fraction(1, 100)))],
+    )
+    def test_views_decide_as_restricted_rows_do(self, monkeypatch, db, cfg):
+        # The search on lazy column views of its ancestors' chains must take
+        # every decision that materialized, restricted rows give: the same
+        # results, utility computations, evaluations in order, and skips
+        # and prunes in order.
+        observed, _ = _observed(mine_shrink, db, cfg, monkeypatch)
+        assert observed == _reference_shrinkage(db, cfg)
 
     def test_dense_pulls_a_quarter_of_the_rows(self, monkeypatch):
         # Every evaluation on the benchmark's dense database exceeds the
