@@ -14,8 +14,9 @@ gives them.
 
 Rows are read only for the questions that need them: whether a chain's rows
 projected onto a subset of its columns sum above the threshold or keep
-exactly one distinct row, the frozen-prefix marking on such a projection,
-and full rows. A pattern's exact utility
+exactly one distinct row, and full rows. The frozen-prefix marking asks the
+first of these once per column, on the frozen prefix's columns and that
+one. A pattern's exact utility
 and support (``ChainStore.evaluate``) need no rows: they are summed over the
 same holder sequences by an embedding-count DP, which stops once the utility
 exceeds the threshold. Its column sums
@@ -118,8 +119,9 @@ class LazyChain:
 
     ``rows`` is a list while the source lasts and becomes a tuple once it
     runs out. The source appends one sequence's rows per step and yields
-    their sum. A drained chain (no source) of one row answers ``exceeds_on``
-    and ``marked`` from that row's utility tuple: one row cannot collapse.
+    their sum. ``marked`` is one ``exceeds_on`` per column. A drained chain
+    (no source) of one row answers both from that row's utility tuple: one
+    row cannot collapse.
     """
 
     __slots__ = ("rows", "total", "_source")
@@ -226,9 +228,9 @@ class LazyChain:
         bound, the deduplicated sum of this chain's rows projected onto
         ``cols[:p]`` and ``cols[i]``, exceeds ``threshold``, ascending.
 
-        Rows are read until every column exceeds or the source runs out; a
-        column stops being summed once it exceeds. Each sequence's rows are
-        deduplicated on their own, and a lone row skips the check.
+        Each bound is one ``exceeds_on`` on those columns, which pulls only
+        until it is decided; pulled rows stay, so the marking pulls to the
+        holder after which every column exceeds, or to the end.
         """
         width = len(cols)
         if self._source is None and len(self.rows) == 1:
@@ -237,35 +239,9 @@ class LazyChain:
                 util = _columns(cols)(util)
             head = sum(util[:p])
             return [i for i in range(p, width) if head + util[i] > threshold]
-        head_of = _columns(cols[:p])
-        bounds = [0] * width
-        live = list(range(p, width))
-        k = 0
-        while live and (k < len(self.rows) or self._pull()):
-            rows = self.rows
-            sid, pos, util = rows[k]
-            k += 1
-            n = len(rows)
-            if k == n or rows[k][0] != sid:
-                head = sum(head_of(util))
-                for i in live:
-                    bounds[i] += head + util[cols[i]]
-            else:
-                seen: set[tuple] = set()
-                k -= 1
-                while k < n and rows[k][0] == sid:
-                    _, pos, util = rows[k]
-                    k += 1
-                    head_pos = head_of(pos)
-                    head = sum(head_of(util))
-                    for i in live:
-                        c = cols[i]
-                        key = (head_pos, i, pos[c])
-                        if key not in seen:
-                            seen.add(key)
-                            bounds[i] += head + util[c]
-            live = [i for i in live if bounds[i] <= threshold]
-        return [i for i in range(p, width) if bounds[i] > threshold]
+        head = tuple(cols[:p])
+        exceeds = self.exceeds_on
+        return [i for i in range(p, width) if exceeds(head + (cols[i],), threshold)]
 
 
 def _append_rows(out: list, sid: int, embeddings: list, utils: tuple):
@@ -411,9 +387,9 @@ class ChainStore:
 
     A pattern's own chain pulls its rows from a ``_HolderScan``, the
     package's one scan of the database for a pattern's embeddings; every row
-    question (``LazyChain.exceeds_on``, ``lone_row``, ``view``, ``marked``,
-    ``full`` and ``rows``) is read from those rows. ``rows_pulled`` counts
-    the rows the scans have produced.
+    question (``LazyChain.exceeds_on``, ``lone_row``, ``view``, ``full`` and
+    ``rows``, and ``marked``, one ``exceeds_on`` per column) is read from
+    those rows. ``rows_pulled`` counts the rows the scans have produced.
 
     ``evaluate`` builds no rows for a chain it has not drained: it sums each
     holder sequence's embeddings by a count DP over the same holders, and

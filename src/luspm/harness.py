@@ -10,6 +10,7 @@ except durations and memory is deterministic.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import random
@@ -115,8 +116,12 @@ def _mine(db, cfg, algorithm, counter):
 def _peak_bytes(db, cfg, algorithm) -> int:
     """Peak traced allocation of one more call, above its starting level.
 
-    Tracing a caller already started is left running.
+    The call starts from a collected heap: a full collection empties
+    CPython's free lists, whose parked objects tracemalloc counts as
+    allocated, so the peak does not depend on what ran before. Tracing a
+    caller already started is left running.
     """
+    gc.collect()
     started_tracing = not tracemalloc.is_tracing()
     if started_tracing:
         tracemalloc.start()

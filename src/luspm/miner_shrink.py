@@ -16,7 +16,8 @@ ancestor's lazy chain (``chains.LazyChain``) and ``cols``, the ancestor
 columns its pattern keeps, as extension does with its root's chain: a child
 drops one column, a prune the marked ones. The chain answers whether the
 rows projected onto ``cols`` total above the threshold (``exceeds_on``) and
-which positions' frozen-prefix bounds do (``marked``), and a node whose
+which positions' frozen-prefix bounds do (``marked``, the same question on
+``cols[:p]`` and each later column), and a node whose
 projection of a drained chain is one row carries that row alone
 (``LazyChain.view``). Each question reads only until it is decided, and
 its answer is the full chain's, so the search takes the same path,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
 from fractions import Fraction
@@ -98,6 +99,20 @@ class TestRunOnce:
         extend, extend_report = run_once(db, cfg, "extend")
         assert extend.as_set() == shrink.as_set()
         assert extend_report.peak_bytes <= 0.8 * shrink_report.peak_bytes
+
+    def test_peak_starts_from_a_collected_heap(self):
+        # tracemalloc counts objects parked on CPython's free lists as
+        # allocated, so a call that reuses them reads a lower peak. Dropping
+        # 40,000 small tuples fills the tuple free lists; the traced peak
+        # after that equals the one taken from a collected heap.
+        db = generate_synthetic(100, 30, 8, 12, 5, 5, 1)
+        cfg = MiningConfig(sigma=Fraction(1, 1000))
+        gc.collect()
+        collected = harness._peak_bytes(db, cfg, "extend")
+        junk = [tuple(range(n % 19 + 1)) for n in range(40_000)]
+        del junk
+        filled = harness._peak_bytes(db, cfg, "extend")
+        assert abs(filled - collected) <= collected / 100
 
     def test_unknown_algorithm_rejected(self, small_db):
         with pytest.raises(ValueError):
